@@ -14,22 +14,13 @@ from .families import (
     approx_report,
     build_family,
     descriptor_growth_m,
+    parse_range,
     pi_closed,
     tau_enumerate,
 )
 from .seqcore import SeqWindow, from_csv, from_json, to_csv, to_document, to_json
 
 USAGE_ERROR = 2
-
-
-def _parse_range(text: str) -> tuple[int, int]:
-    a, sep, b = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like 'a..b', got {text!r}")
-    lo, hi = int(a), int(b)
-    if lo > hi:
-        raise ValueError(f"range start {lo} exceeds end {hi}")
-    return lo, hi
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -140,14 +131,14 @@ def _load_input(path: str) -> SeqWindow:
 
 
 def _cmd_gen(args) -> int:
-    lo, hi = _parse_range(args.range_)
+    lo, hi = parse_range(args.range_)
     w = build_family(args.family, lo, hi)
     _emit(_format_rows(w, lo, hi, args.format), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    lo, hi = _parse_range(args.range_)
+    lo, hi = parse_range(args.range_)
     if (args.family is None) == (args.input is None):
         raise ValueError("verify needs exactly one of --family / --input")
     if args.family is not None:
@@ -169,7 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    lo, hi = _parse_range(args.range_)
+    lo, hi = parse_range(args.range_)
     k = args.order
     if k < 1:
         raise ValueError("--order must be >= 1")
@@ -180,7 +171,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    lo, hi = _parse_range(args.range_)
+    lo, hi = parse_range(args.range_)
     if lo < 0:
         raise ValueError("closed forms are defined for indices >= 0")
     kind, _, body = args.family.partition(":")
@@ -262,13 +253,13 @@ def _cmd_export(args) -> int:
     else:
         if args.range_ is None:
             raise ValueError("--range is required with --family")
-        lo, hi = _parse_range(args.range_)
+        lo, hi = parse_range(args.range_)
         w = build_family(args.family, lo, hi)
     if args.format == "json":
         _emit(json.dumps(to_document(w), indent=2), args.output)
     else:
         if args.range_ is not None:
-            lo, hi = _parse_range(args.range_)
+            lo, hi = parse_range(args.range_)
         else:
             lo, hi = w.lo, w.hi
         _emit(to_csv(w, lo, hi), args.output)

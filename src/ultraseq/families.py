@@ -22,7 +22,6 @@ from .seqcore import (
     constant,
     difference,
     extend_right_by_O,
-    partial_sums,
 )
 
 
@@ -42,13 +41,15 @@ def pi_window(m: int, n_max: int) -> SeqWindow:
     w = SeqWindow(0, (m,), left=constant(-2))
     if n_max > 0:
         w = extend_right_by_O(w, n_max)
+    u = w.values  # u[n] is the value at index n
+    s = 0  # S_n, the sum of the values at 0..n-1
     for n in range(0, n_max):
-        s, _ = partial_sums(w, n)
-        if w.value_at(n + 1) != s + 2 * n + 2:
+        if u[n + 1] != s + 2 * n + 2:
             raise IdentityViolation(
                 f"running-sum identity failed at m={m}, n={n}")
+        s += u[n]
     for p in range(2, n_max + 1):
-        if w.value_at(p) != w.value_at(p - 1) + w.value_at(p - 2) + 2:
+        if u[p] != u[p - 1] + u[p - 2] + 2:
             raise IdentityViolation(
                 f"two-term affine recurrence failed at m={m}, p={p}")
     return w
@@ -401,6 +402,9 @@ class ApproxReport:
 def approx_report(w: SeqWindow, m: int, base_n: int, r_max: int) -> ApproxReport:
     """Compare two-point predictions against exact values of a window."""
     u_n, u_n1 = w.value_at(base_n), w.value_at(base_n + 1)
+    if u_n == 0:
+        raise DegenerateBase(
+            f"value at base index {base_n} is 0: the row has no growth to fit")
     model = build_approx_model(m, base_n, u_n, u_n1)
     rows = []
     for r in range(r_max + 1):
@@ -479,7 +483,8 @@ def _split_params(body: str) -> dict[str, str]:
     return params
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def parse_range(text: str) -> tuple[int, int]:
+    """Inclusive index range written ``a..b``."""
     a, sep, b = text.partition("..")
     if not sep:
         raise ValueError(f"range must look like 'a..b', got {text!r}")
@@ -548,7 +553,7 @@ def build_family(descriptor: str, lo: int, hi: int) -> SeqWindow:
             mk, _, mbody = parts["mid"].partition(":")
             if mk != "omega":
                 raise ValueError("composite mid must be an omega slice")
-            a, b = _parse_range(mbody)
+            a, b = parse_range(mbody)
             mid = omega_slice(a, b)
         seed = int(parts["seed"])
         steps = int(parts.get("steps", max(hi, 1)))

@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -60,7 +63,8 @@ def constant(value: int) -> Periodic:
     return Periodic((value,))
 
 
-ExtRule = Optional[Periodic]  # None means the side is undefined
+# None means undefined; typing.Optional's cache would pin earlier imports
+ExtRule = Periodic | None
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,12 @@ class SeqWindow:
             raise OutOfDomain(k)
         return self.right.unit[(k - self.hi - 1) % self.right.period]
 
+    @cached_property
+    def _prefix(self) -> list[int]:
+        """Prefix sums of ``values``, built on first use; not a field, so
+        equality, hashing and repr ignore it."""
+        return list(accumulate(self.values, initial=0))
+
     def slice(self, a: int, b: int) -> list[int]:
         """Values at positions a..b inclusive."""
         return [self.value_at(k) for k in range(a, b + 1)]
@@ -117,10 +127,6 @@ class SeqWindow:
         more = "..." if len(self.values) > 12 else ""
         return (f"SeqWindow(lo={self.lo}, {tail(self.left)} | "
                 f"{shown}{more} | {tail(self.right)})")
-
-
-def value_at(w: SeqWindow, k: int) -> int:
-    return w.value_at(k)
 
 
 def _mod_range_sum(unit: tuple[int, ...], t0: int, t1: int) -> int:
@@ -136,8 +142,9 @@ def _mod_range_sum(unit: tuple[int, ...], t0: int, t1: int) -> int:
 
 
 def range_sum(w: SeqWindow, a: int, b: int) -> int:
-    """Sum of values at positions a..b inclusive, in time proportional to
-    the materialized window plus the tail periods (heads can be huge)."""
+    """Sum of values at positions a..b inclusive: O(1) big-int subtractions
+    on the prefix sums for the materialized span plus O(period) per tail,
+    however long the range is (heads can be huge)."""
     if a > b:
         return 0
     if a < w.lo and w.left is None:
@@ -150,11 +157,22 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
                                 min(b, w.lo - 1) - w.lo)
     mid_a, mid_b = max(a, w.lo), min(b, w.hi)
     if mid_a <= mid_b:
-        total += sum(w.values[mid_a - w.lo:mid_b - w.lo + 1])
+        prefix = w._prefix
+        total += prefix[mid_b - w.lo + 1] - prefix[mid_a - w.lo]
     if b > w.hi:
         total += _mod_range_sum(w.right.unit, max(a, w.hi + 1) - w.hi - 1,
                                 b - w.hi - 1)
     return total
+
+
+def o_successor(w: SeqWindow, p: int) -> int:
+    """``|u| + sum_{i<|u|} w[p - i*sign(u)]`` with u = w[p], the value the
+    self-generation equation gives p+1; a negative head reads its successors,
+    p+1 included.  Raises OutOfDomain when a summand is undefined."""
+    u = w.value_at(p)
+    if u >= 0:
+        return range_sum(w, p - u + 1, p) + u
+    return range_sum(w, p, p - u - 1) - u
 
 
 # --- verification -----------------------------------------------------------
@@ -213,12 +231,8 @@ def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
     checked); this is an equality test, never a generation step.
     """
     try:
-        u = w.value_at(p)
         actual = w.value_at(p + 1)
-        if u >= 0:
-            expected = range_sum(w, p - u + 1, p) + u
-        else:
-            expected = range_sum(w, p, p - u - 1) - u
+        expected = o_successor(w, p)
     except OutOfDomain:
         return CheckEntry(p, None, None, UNCHECKABLE)
     status = OK if actual == expected else VIOLATION
@@ -252,31 +266,28 @@ def extend_right_by_O(w: SeqWindow, steps: int,
                        f"({max_window_len()})")
     supplied = supplied or {}
     vals = list(w.values)
+    prefix = list(accumulate(vals, initial=0))
+    left_unit = w.left.unit if w.left is not None else ()
     lo, hi = w.lo, w.hi
-
-    def head_sum(a: int, b: int) -> int:
-        # sum of values at a..b; the range never rises above hi here
-        total = 0
-        if a < lo:
-            if w.left is None:
-                raise OutOfDomain(a)
-            total += _mod_range_sum(w.left.unit, a - lo,
-                                    min(b, lo - 1) - lo)
-        if b >= lo:
-            total += sum(vals[max(a, lo) - lo:b - lo + 1])
-        return total
-
     for _ in range(steps):
         head = vals[-1]
         pos = hi + 1
         if pos in supplied:
-            vals.append(int(supplied[pos]))
+            value = int(supplied[pos])
         elif head >= 1:
-            vals.append(head + head_sum(hi - head + 1, hi))
+            # range_sum(hi - head + 1, hi) of the growing window: the left
+            # tail in O(period), the rest from the running prefix sums
+            a = hi - head + 1
+            if a < lo and not left_unit:
+                raise OutOfDomain(a)
+            value = (head + _mod_range_sum(left_unit, a - lo, -1)
+                     + prefix[-1] - prefix[max(a - lo, 0)])
         elif head in (0, -1):
-            vals.append(0)
+            value = 0
         else:
             raise NonDeterministic(hi, head)
+        vals.append(value)
+        prefix.append(prefix[-1] + value)
         hi += 1
     return SeqWindow(lo, vals, left=w.left, right=None)
 
@@ -333,9 +344,7 @@ def partial_sums(w: SeqWindow, n: int) -> tuple[int, int]:
     """(sum of values at 0..n-1, sum of values at -n..-1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    s = sum(w.value_at(i) for i in range(0, n))
-    r = sum(w.value_at(i) for i in range(-n, 0))
-    return s, r
+    return range_sum(w, 0, n - 1), range_sum(w, -n, -1)
 
 
 # --- structural predicates ---------------------------------------------------
@@ -366,11 +375,9 @@ def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
         reach = n + sign(a) - a
         if not (alpha <= reach <= beta):
             return FreeCheck(False, n, 1)
+    w = SeqWindow(alpha, s)  # condition 1 keeps every summand inside
     for n in range(alpha, beta):
-        a = at(n)
-        t = sign(a)
-        expected = sum(at(n - i * t) + 1 for i in range(abs(a)))
-        if at(n + 1) != expected:
+        if at(n + 1) != o_successor(w, n):
             return FreeCheck(False, n, 2)
     if at(beta) != -2:
         return FreeCheck(False, beta, 3)
@@ -430,19 +437,14 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
     vals = [a.value_at(k) + b.value_at(k) for k in range(lo, hi + 1)]
     left = right = None
     if a.left is not None and b.left is not None and lo == a.lo == b.lo:
-        p = _lcm(a.left.period, b.left.period)
+        p = math.lcm(a.left.period, b.left.period)
         left = Periodic(tuple(a.value_at(lo - p + j) + b.value_at(lo - p + j)
                               for j in range(p)))
     if a.right is not None and b.right is not None and hi == a.hi == b.hi:
-        p = _lcm(a.right.period, b.right.period)
+        p = math.lcm(a.right.period, b.right.period)
         right = Periodic(tuple(a.value_at(hi + 1 + j) + b.value_at(hi + 1 + j)
                                for j in range(p)))
     return SeqWindow(lo, vals, left=left, right=right)
-
-
-def _lcm(x: int, y: int) -> int:
-    import math
-    return x * y // math.gcd(x, y)
 
 
 # --- serialization -----------------------------------------------------------

@@ -9,11 +9,12 @@ otherwise the output side becomes undefined.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DomainExhausted, InvalidConfig, OutOfDomain, WrongInitialCount
-from .seqcore import Periodic, SeqWindow, sign
+from .seqcore import Periodic, SeqWindow, o_successor, sign
 
 SlotFn = Callable[[int, int], int]
 
@@ -113,9 +114,7 @@ def _apply_pointwise(w: SeqWindow,
             and run_len >= 2 * w.right.period):
         p = w.right.period
         if all(vals[-j - 1] == vals[-j - 1 - p] for j in range(p)):
-            out_hi = out_lo + run_len - 1
             right = Periodic(tuple(vals[run_len - p + j] for j in range(p)))
-            del out_hi
     return SeqWindow(out_lo, vals, left=left, right=right)
 
 
@@ -135,13 +134,9 @@ def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
 
 
 def apply_O(w: SeqWindow) -> SeqWindow:
-    """Direct implementation of the self-referential summation rule."""
-    def compute(p: int) -> int:
-        u = w.value_at(p)
-        s = sign(u)
-        return sum(w.value_at(p - i * s) + 1 for i in range(abs(u)))
-
-    return _apply_pointwise(w, compute, out_offset=1)
+    """The self-generation map: each output value is the one the equation
+    gives from its predecessor's position, O(period) per position."""
+    return _apply_pointwise(w, lambda p: o_successor(w, p), out_offset=1)
 
 
 def apply_G(g: GParams, w: SeqWindow) -> SeqWindow:
@@ -175,6 +170,7 @@ def recurrence_1_3_extend(g: GParams, r: int, initial: list[int],
     return SeqWindow(0, vals)
 
 
+# collections.abc: typing's alias cache would pin earlier imports
 Transformation = Callable[[SeqWindow], SeqWindow]
 
 

@@ -137,6 +137,15 @@ class TestApproxAndReference:
         assert code == 0
         assert "phi_m = 1.847127" in out and "r=4" in out
 
+    def test_approx_on_collapsed_row_is_a_usage_error(self, capsys):
+        # this row collapses to zeros at index 4: no growth to fit
+        code, out, err = run(capsys, "approx", "--family",
+                             "composite:left=tau:m=2,P=1;4,N=6;8,seed=1",
+                             "--base", "200")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_reference_q(self, capsys):
         code, out, _ = run(capsys, "reference", "--sequence", "q",
                            "--count", "5", "--format", "csv")

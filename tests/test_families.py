@@ -6,7 +6,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultraseq.errors import IdentityViolation, InvalidConfig, TooLarge
+from ultraseq.errors import (
+    DegenerateBase,
+    IdentityViolation,
+    InvalidConfig,
+    TooLarge,
+)
 from ultraseq.exactmath import fib, lucas
 from ultraseq.families import (
     OPowerConfig,
@@ -287,6 +292,12 @@ class TestApproxModel:
         report = approx_report(row, 1, 8, 6)
         assert report.ratio_rel_error < 0.01
         assert max(r.rel_error for r in report.rows) < 0.05
+
+    def test_report_on_collapsed_row(self):
+        row = composite_row(TauConfig(2, {1, 4}, {6, 8}), (), 1, 12)
+        assert set(row.values[-8:]) == {0}
+        with pytest.raises(DegenerateBase):
+            approx_report(row, 2, row.hi - 7, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Windows, verification, generation, differences, and serialization."""
+import gc
+import importlib
 import json
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -283,3 +287,28 @@ class TestSerialization:
         doc["left"] = {"kind": "mystery"}
         with pytest.raises(ValueError):
             from_document(doc)
+
+
+class TestReimport:
+    def test_reimport_releases_the_previous_package(self):
+        # a fresh import must not leave the previous one's classes pinned
+        # in a module-level cache (typing caches the aliases it builds)
+        saved = {name: mod for name, mod in sys.modules.items()
+                 if name.split(".")[0] == "ultraseq"}
+
+        def fresh_import():
+            for name in [n for n in sys.modules
+                         if n.split(".")[0] == "ultraseq"]:
+                del sys.modules[name]
+            return importlib.import_module("ultraseq")
+
+        try:
+            old = weakref.ref(fresh_import().seqcore.SeqWindow)
+            fresh_import()
+            gc.collect()
+            assert old() is None
+        finally:
+            for name in [n for n in sys.modules
+                         if n.split(".")[0] == "ultraseq"]:
+                del sys.modules[name]
+            sys.modules.update(saved)
