@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
-from .exactmath import PHI, PSI, fib, lucas, quad_pow, two_point_constants
+from .exactmath import closed_form_affine, fib, lucas
 from .seqcore import (
     Periodic,
     SeqWindow,
@@ -59,7 +59,8 @@ def pi_closed(m: int, n: int, method: str = "fib") -> int:
     """Closed form for the pi row value at index n.
 
     method 'fib' evaluates m*F(n-1) + 2*F(n+2) - 2 in integers; 'quad'
-    evaluates B*phi^n + C*psi^n - 2 exactly in Q(sqrt 5) and asserts the
+    evaluates B*phi^n + C*psi^n - 2 exactly in Q(sqrt 5) as the affine
+    two-term closed form with L_0 = m, L_1 = 2 and eps = 2, and asserts the
     irrational part vanishes.  Both agree for all inputs.
     """
     if m < 1 or n < 0:
@@ -67,9 +68,7 @@ def pi_closed(m: int, n: int, method: str = "fib") -> int:
     if method == "fib":
         return m * fib(n - 1) + 2 * fib(n + 2) - 2
     if method == "quad":
-        b_m, c_m = two_point_constants(m + 2, 4)
-        value = b_m * quad_pow(PHI, n) + c_m * quad_pow(PSI, n) - 2
-        return value.as_integer()
+        return closed_form_affine(m, 2, 2, n)
     raise ValueError(f"unknown method {method!r}")
 
 

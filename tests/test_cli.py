@@ -1,10 +1,13 @@
 """Command-line interface: formats, exit codes, and file round trips."""
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from ultraseq import cli
 from ultraseq.cli import dispatch
 from ultraseq.seqcore import from_json
 
@@ -81,6 +84,38 @@ class TestVerify:
                          "--range", "0..0", "--strict")
         assert code == 1
 
+    def test_csv_has_one_row_per_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "lo": 0, "values": ["1", "2", "6"],
+            "left": {"kind": "undefined"}, "right": {"kind": "undefined"}}))
+        code, out, _ = run(capsys, "verify", "--input", str(path),
+                           "--range", "0..2", "--format", "csv")
+        assert code == 1
+        assert list(csv.DictReader(io.StringIO(out))) == [
+            {"position": "0", "expected": "2", "actual": "2", "status": "ok"},
+            {"position": "1", "expected": "5", "actual": "6",
+             "status": "violation"},
+            {"position": "2", "expected": "", "actual": "",
+             "status": "uncheckable"}]
+
+    def test_json_values_are_decimal_strings_or_null(self, capsys, tmp_path):
+        path = tmp_path / "clean.json"
+        path.write_text(json.dumps({
+            "lo": 0, "values": ["1", "2", "5"],
+            "left": {"kind": "undefined"}, "right": {"kind": "undefined"}}))
+        verify = ["verify", "--input", str(path), "--range", "0..2",
+                  "--format", "json"]
+        code, out, _ = run(capsys, *verify)
+        assert code == 0
+        assert json.loads(out) == [
+            {"position": 0, "expected": "2", "actual": "2", "status": "ok"},
+            {"position": 1, "expected": "5", "actual": "5", "status": "ok"},
+            {"position": 2, "expected": None, "actual": None,
+             "status": "uncheckable"}]
+        code, _, _ = run(capsys, *verify, "--strict")
+        assert code == 1
+
     def test_family_and_input_are_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--family", "pi:m=1",
                            "--input", str(tmp_path / "x.json"),
@@ -124,6 +159,15 @@ class TestEnumerate:
         doc = json.loads(out)
         assert doc["count"] == 3 and len(doc["configs"]) == 3
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_csv_reads_back_as_the_json_descriptors(self, capsys, m):
+        # descriptors hold commas, so each csv row must quote its one field
+        _, out, _ = run(capsys, "enumerate", "--m", str(m), "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        _, out, _ = run(capsys, "enumerate", "--m", str(m), "--format", "json")
+        assert rows[0] == ["descriptor"]
+        assert rows[1:] == [[d] for d in json.loads(out)["configs"]]
+
     def test_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "9")
         assert code == 2 and "error:" in err
@@ -136,6 +180,21 @@ class TestApproxAndReference:
                            "--base", "8", "--rmax", "4")
         assert code == 0
         assert "phi_m = 1.847127" in out and "r=4" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_approx_rows(self, capsys, fmt):
+        code, out, _ = run(capsys, "approx", "--family",
+                           "composite:left=tau:m=1,P=5,N=1,seed=1",
+                           "--base", "8", "--rmax", "4", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+        else:
+            rows = json.loads(out)
+        assert [int(row["r"]) for row in rows] == [0, 1, 2, 3, 4]
+        assert [row["exact"] for row in rows[:3]] == ["321", "589", "1096"]
+        assert float(rows[1]["predicted"]) == pytest.approx(589)
+        assert float(rows[2]["rel_error"]) == pytest.approx(0.006691, rel=1e-3)
 
     def test_approx_on_collapsed_row_is_a_usage_error(self, capsys):
         # this row collapses to zeros at index 4: no growth to fit
@@ -204,6 +263,22 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "lo": 0, "values": ["3", "2", "5"],
+            "left": {"kind": "undefined"}, "right": {"kind": "undefined"}}))
+        verify = ["verify", "--input", str(path), "--range", "0..0"]
+        assert cli._build_parser() is cli._build_parser()
+        assert dispatch(verify + ["--strict"]) == 1
+        assert dispatch(verify) == 0
+        assert dispatch(["gen", "--family", "pi:m=1"]) == 2
+        assert dispatch(["--help"]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "gen", "--family", "pi:m=1",
+                             "--range", "0..2", "--format", "csv")
+        assert (code, out, err) == (0, "index,value\n0,1\n1,2\n2,5\n", "")
 
     def test_console_entry_point(self):
         proc = subprocess.run(
