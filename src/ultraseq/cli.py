@@ -262,6 +262,11 @@ def _cmd_export(args) -> tuple[str, int]:
         raise ValueError("export needs exactly one of --family / --input")
     rng = parse_range(args.range_) if args.range_ is not None else None
     if args.input is not None:
+        if rng is not None and args.format == "json":
+            # the periodic extension rules are phased to the document's own
+            # span, so a cut document could not keep them exact
+            raise ValueError("--range cannot cut a JSON document; use "
+                             "--format csv or drop --range")
         w = _load_input(args.input)
     elif rng is None:
         raise ValueError("--range is required with --family")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
@@ -22,6 +21,7 @@ from .seqcore import (
     constant,
     difference,
     extend_right_by_O,
+    max_window_len,
 )
 
 
@@ -208,8 +208,8 @@ class TauConfig:
 
     def __init__(self, m: int, pos, neg):
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "pos", frozenset(int(v) for v in pos))
-        object.__setattr__(self, "neg", frozenset(int(v) for v in neg))
+        object.__setattr__(self, "pos", frozenset(map(int, pos)))
+        object.__setattr__(self, "neg", frozenset(map(int, neg)))
         self._validate()
 
     def _validate(self):
@@ -221,14 +221,13 @@ class TauConfig:
                                 "placements")
         if self.pos & self.neg:
             raise InvalidConfig("placements must be disjoint")
-        q = self.pos | self.neg
-        if not all(1 <= v <= period for v in q):
+        q = sorted(self.pos | self.neg)
+        if not 1 <= q[0] <= q[-1] <= period:
             raise InvalidConfig(f"placements must lie in [1, {period}]")
-        for qi in q:
-            for qj in q:
-                if (qi - qj) % period == 1:
-                    raise InvalidConfig(
-                        f"placements {qj} and {qi} are cyclically adjacent")
+        for a, b in zip(q, q[1:] + [q[0] + period]):
+            if b - a == 1:
+                raise InvalidConfig(f"placements {a} and {b % period or period}"
+                                    " are cyclically adjacent")
 
     @property
     def period(self) -> int:
@@ -256,41 +255,55 @@ def tau_window(c: TauConfig, periods: int = 1) -> SeqWindow:
                      left=Periodic(unit), right=Periodic(unit))
 
 
-def _min_rotation(unit: tuple[int, ...]) -> tuple[int, ...]:
-    p = len(unit)
-    return min(tuple(unit[(j + t) % p] for j in range(p)) for t in range(p))
-
-
 def tau_enumerate(m: int, canonical: bool = False) -> list[TauConfig]:
-    """All valid placements; with ``canonical``, one representative per
-    rotation class (the lexicographically least rotation of the unit)."""
+    """All valid placements, sorted by unit; with ``canonical``, one
+    representative per rotation class, the least rotation of its unit.
+    A depth-first search writes the units in order with the content fixed,
+    so the cost grows with the output; ``canonical`` adds the
+    Fredricksen-Kessler-Maiorana prenecklace rule a[t] >= a[t-p] and emits
+    only the prenecklaces whose p divides the period."""
     if m < 1:
         raise ValueError("m must be >= 1")
     period = 4 * m + 2
-    if period > 30:
-        raise TooLarge(f"period {period} exceeds the enumeration guard (30)")
-    configs = []
-    slots = range(1, period + 1)
-    for q in combinations(slots, 2 * m):
-        qset = set(q)
-        if any((a - b) % period == 1 for a in qset for b in qset):
-            continue
-        for p in combinations(q, m):
-            configs.append(TauConfig(m, p, qset - set(p)))
-    configs.sort(key=lambda c: c.unit())
-    if not canonical:
-        return configs
-    by_class: dict[tuple[int, ...], TauConfig] = {}
-    for c in configs:
-        key = _min_rotation(c.unit())
-        if key not in by_class:
-            amp = period
-            by_class[key] = TauConfig(
-                m,
-                pos={j + 1 for j, v in enumerate(key) if v == amp},
-                neg={j + 1 for j, v in enumerate(key) if v == -amp},
-            )
-    return sorted(by_class.values(), key=lambda c: c.unit())
+    # count placements of period values each; the rotation classes number
+    # about count/period, so the canonical output is about count values
+    count = (2 * m + 1) ** 2 * math.comb(2 * m, m)
+    size, cap = count * (1 if canonical else period), max_window_len()
+    if size > cap:
+        raise TooLarge(f"enumerating m={m} would emit about {size} values, "
+                       f"over the window cap ({cap})")
+    symbols = (-period, -2, period)
+    left = dict(zip(symbols, (m, 2 * m + 2, m)))
+    placed = {v: [] for v in symbols}  # the 1-based positions of each value
+    unit = [0] * period
+    out = []
+
+    def extend(t: int, p: int) -> None:
+        prev = unit[t - 1] if t else -2
+        # each placement still to write, and one at t-1, needs a -2 right
+        # after it: one still to write or, wrapping, the one at position 0;
+        # at the leaf this is the wrap-around adjacency check
+        if (left[-period] + left[period] + (prev != -2)
+                > left[-2] + (unit[0] == -2)):
+            return
+        if t == period:
+            if not canonical or period % p == 0:
+                out.append(TauConfig(m, placed[period], placed[-period]))
+            return
+        floor = unit[t - p] if canonical and t else -period
+        for v in symbols:
+            if v < floor or not left[v] or (v != -2 and prev != -2):
+                continue
+            unit[t] = v
+            left[v] -= 1
+            placed[v].append(t + 1)
+            extend(t + 1, p if v == floor else t + 1)
+            placed[v].pop()
+            left[v] += 1
+
+    extend(0, 1)
+    del extend  # it refers to itself: free it without the cycle collector
+    return out
 
 
 # --- the omega sequence ---------------------------------------------------------

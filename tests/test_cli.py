@@ -238,6 +238,16 @@ class TestExport:
                            "--format", "csv")
         assert code == 0 and out == "index,value\n2,7\n3,8\n"
 
+    def test_reexport_json_refuses_range(self, capsys, tmp_path):
+        src = tmp_path / "w.json"
+        src.write_text(json.dumps({
+            "lo": 2, "values": ["7", "8"],
+            "left": {"kind": "undefined"}, "right": {"kind": "undefined"}}))
+        code, out, err = run(capsys, "export", "--input", str(src),
+                             "--range", "2..2", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_family_requires_range(self, capsys):
         code, _, err = run(capsys, "export", "--family", "pi:m=1",
                            "--format", "csv")

@@ -1,5 +1,6 @@
 """Families: seeded rows, sparse-left variants, periodic placements,
 composites, growth models, and descriptor parsing."""
+import gc
 import itertools
 import math
 
@@ -38,7 +39,7 @@ from ultraseq.families import (
     tau_enumerate,
     tau_window,
 )
-from ultraseq.seqcore import verify_O_range
+from ultraseq.seqcore import MAX_WINDOW_ENV, verify_O_range
 
 # Seeded rows m = 1..8, indices 0..7.
 PI_MATRIX = [
@@ -153,20 +154,39 @@ class TestPiStarFamily:
             pi_star_even_closed(1, 1)
 
 
-def _brute_force_tau(m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Independent enumeration straight from the placement rules."""
+def _brute_force_tau(m: int, canonical: bool = False) -> list[tuple[int, ...]]:
+    """Independent enumeration straight from the placement rules: every
+    2m-subset of the period, kept when no two slots are cyclically adjacent
+    and split every way into m positive and m negative placements; with
+    ``canonical``, the least rotation of each unit.  Sorted units."""
     period = 4 * m + 2
-    found = set()
-    for pos in itertools.combinations(range(1, period + 1), m):
-        for neg in itertools.combinations(range(1, period + 1), m):
-            chosen = set(pos) | set(neg)
-            if len(chosen) != 2 * m:
-                continue
-            if any((a - b) % period == 1
-                   for a in chosen for b in chosen):
-                continue
-            found.add((pos, neg))
-    return found
+    units = []
+    for q in itertools.combinations(range(1, period + 1), 2 * m):
+        if any((a - b) % period == 1 for a in q for b in q):
+            continue
+        for p in itertools.combinations(q, m):
+            units.append(tuple(period if j in p else -period if j in q else -2
+                               for j in range(1, period + 1)))
+    if canonical:
+        units = {min(u[t:] + u[:t] for t in range(period)) for u in units}
+    return sorted(units)
+
+
+def _burnside_classes(m: int) -> int:
+    """Rotation classes by Burnside's lemma: a rotation by s fixes the units
+    that repeat a block of g = gcd(s, period) values, and such a block holds
+    k = m*g/period placements of each sign, no two cyclically adjacent."""
+    period = 4 * m + 2
+    fixed = 0
+    for s in range(period):
+        g = math.gcd(s, period)
+        if m * g % period:
+            continue
+        k = m * g // period
+        # 2k pairwise non-adjacent slots on a cycle of g, then k of them +
+        fixed += (g * math.comb(g - 2 * k, 2 * k) // (g - 2 * k)
+                  * math.comb(2 * k, k))
+    return fixed // period
 
 
 class TestTauFamily:
@@ -189,10 +209,10 @@ class TestTauFamily:
             TauConfig(2, {5}, {1})  # wrong placement count
 
     def test_enumeration_matches_brute_force(self):
-        for m in (1, 2):
-            got = {(tuple(sorted(c.pos)), tuple(sorted(c.neg)))
-                   for c in tau_enumerate(m)}
-            assert got == _brute_force_tau(m)
+        for m in (1, 2, 3, 4):
+            for canonical in (False, True):
+                got = [c.unit() for c in tau_enumerate(m, canonical)]
+                assert got == _brute_force_tau(m, canonical)
 
     def test_m1_counts(self):
         assert len(tau_enumerate(1)) == 18
@@ -217,9 +237,60 @@ class TestTauFamily:
             assert report.violation_count == 0
             assert report.uncheckable_count == 0
 
-    def test_large_periods_are_refused(self):
+    def test_large_periods_are_refused(self, monkeypatch):
+        # the guard is the output size: count placements of 4m+2 values,
+        # and about count values with canonical
+        monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
         with pytest.raises(TooLarge):
             tau_enumerate(8)
+        with pytest.raises(TooLarge):
+            tau_enumerate(6)
+        with pytest.raises(TooLarge):
+            tau_enumerate(8, canonical=True)
+        # m=2 emits 150 placements of 10 values
+        for canonical, cap, n in ((False, 1500, 150), (True, 150, 16)):
+            monkeypatch.setenv(MAX_WINDOW_ENV, str(cap))
+            assert len(tau_enumerate(2, canonical)) == n
+            monkeypatch.setenv(MAX_WINDOW_ENV, str(cap - 1))
+            with pytest.raises(TooLarge):
+                tau_enumerate(2, canonical)
+
+    def test_validation_matches_pairwise_rule(self):
+        for m in (1, 2):
+            period = 4 * m + 2
+            slots = range(0, period + 2)  # one out of range at each end
+            for pos in itertools.combinations(slots, m):
+                for neg in itertools.combinations(slots, m):
+                    q = set(pos) | set(neg)
+                    ok = (len(q) == 2 * m
+                          and all(1 <= v <= period for v in q)
+                          and not any((a - b) % period == 1
+                                      for a in q for b in q))
+                    if ok:
+                        TauConfig(m, pos, neg)
+                    else:
+                        with pytest.raises(InvalidConfig):
+                            TauConfig(m, pos, neg)
+
+    def test_counts_match_closed_forms(self, monkeypatch):
+        monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
+        classes = [3, 16, 70, 318, 1386, 6016, 25740]
+        for m in range(1, 8):
+            assert _burnside_classes(m) == classes[m - 1]
+            if m <= 5:
+                assert len(tau_enumerate(m)) == \
+                    (2 * m + 1) ** 2 * math.comb(2 * m, m)
+            assert len(tau_enumerate(m, canonical=True)) == classes[m - 1]
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for canonical in (False, True):
+                tau_enumerate(2, canonical=canonical)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOmega:
