@@ -135,7 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--input", default=None,
                    help="existing document (.json or .csv) to re-export")
-    p.add_argument("--range", default=None, dest="range_", metavar="A..B")
+    p.add_argument(
+        "--range", default=None, dest="range_", metavar="A..B",
+        help="inclusive index range; csv writes these rows only.  With "
+             "--format json, --family writes the whole window the family "
+             "builds to cover A..B (a pi row runs from 0 to B+2) and "
+             "--input refuses a range: a cut document could not keep its "
+             "periodic tail rules exact")
 
     return parser
 
@@ -198,7 +204,8 @@ def _cmd_closed_form(args) -> tuple[str, int]:
     m = int(families._split_params(body)["m"])
     w = families.pi_window(m, hi + 1)
     header = ("index", "iterative", "fib_form", "quad_form")
-    rows = [(n, w.value_at(n), pi_closed(m, n, "fib"), pi_closed(m, n, "quad"))
+    quad = families.pi_quad_row(m, lo, hi)
+    rows = [(n, w.value_at(n), pi_closed(m, n, "fib"), quad[n - lo])
             for n in range(lo, hi + 1)]
     mismatch = any(not (it == f == q) for _, it, f, q in rows)
     if args.format == "table":

@@ -1,32 +1,55 @@
 """Exact arithmetic: Fibonacci/Lucas numbers and the quadratic field Q(sqrt 5).
 
 Python integers are already arbitrary precision, so they serve directly as
-the big-integer type; rationals are ``fractions.Fraction``.  ``QuadExt``
-represents an exact element a + b*sqrt(5) and is the workhorse behind every
-golden-ratio closed form.  No floating point is used anywhere in this module.
+the big-integer type.  ``QuadExt`` represents an exact element of Q(sqrt 5)
+by three plain integers (p, q, d), meaning (p + q*sqrt 5)/d, kept canonical
+(d > 0, gcd(p, q, d) = 1); each field operation is a few integer products
+and one gcd.  Its rational components a = p/d and b = q/d are available as
+``fractions.Fraction`` properties.  ``QuadExt`` is the workhorse behind every
+golden-ratio closed form; ``closed_form_affine_row`` evaluates a whole row of
+one in a single pass.  No floating point is used anywhere in this module
+except ``float(QuadExt)``, for display.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """An element a + b*sqrt(5) with rational components.
+    """An element a + b*sqrt(5), stored as integers (p, q, d) meaning
+    (p + q*sqrt 5)/d with d > 0 and gcd(p, q, d) = 1.
 
-    Equality is exact componentwise equality of the canonical Fractions.
+    The form is canonical, so equality and hashing are componentwise.
+    Instances are immutable.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a: Scalar, b: Scalar = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        # both components are in lowest terms, so gcd(p, q, d) = 1 already
+        _set_p(self, a.numerator * (d // a.denominator))
+        _set_q(self, b.numerator * (d // b.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadExt is immutable")
+
+    def __reduce__(self):
+        return QuadExt, (self.a, self.b)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @staticmethod
     def _coerce(other) -> "QuadExt":
@@ -36,22 +59,33 @@ class QuadExt:
             return QuadExt(other)
         return NotImplemented
 
+    def __eq__(self, other):
+        if not isinstance(other, QuadExt):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.d))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b)
+        if self.d == o.d:
+            return _canonical(self.p + o.p, self.q + o.q, self.d)
+        return _canonical(self.p * o.d + o.p * self.d,
+                          self.q * o.d + o.q * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b)
+        return _raw(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -63,16 +97,18 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a * o.a + 5 * self.b * o.b,
-                       self.a * o.b + self.b * o.a)
+        return _canonical(self.p * o.p + 5 * self.q * o.q,
+                          self.p * o.q + self.q * o.p, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        norm = self.a * self.a - 5 * self.b * self.b
+        # d / (p + q sqrt 5) = d (p - q sqrt 5) / (p^2 - 5 q^2); the norm is
+        # zero only at zero, since sqrt 5 is irrational
+        norm = self.p * self.p - 5 * self.q * self.q
         if norm == 0:
             raise ZeroDivisionError("zero element of Q(sqrt 5)")
-        return QuadExt(self.a / norm, -self.b / norm)
+        return _canonical(self.d * self.p, -self.d * self.q, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -91,23 +127,46 @@ class QuadExt:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.q == 0 and self.d == 1
 
     def as_integer(self) -> int:
         """Return the value as a plain int; raises if it is not one."""
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.a)
+        return self.p
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 5 ** 0.5
+        return self.p / self.d + self.q / self.d * 5 ** 0.5
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a}, {self.b})"
+
+
+_set_p, _set_q, _set_d = (QuadExt.p.__set__, QuadExt.q.__set__,
+                          QuadExt.d.__set__)
+
+
+def _raw(p: int, q: int, d: int) -> QuadExt:
+    """(p + q*sqrt 5)/d from components already in canonical form."""
+    x = object.__new__(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _canonical(p: int, q: int, d: int) -> QuadExt:
+    """(p + q*sqrt 5)/d brought to canonical form, d != 0."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = math.gcd(d, p, q)  # d first: it is the small one
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _raw(p, q, d)
 
 
 #: golden ratio (1 + sqrt 5) / 2
@@ -166,14 +225,30 @@ def two_point_constants(lambda_e: int, lambda_e1: int) -> tuple[QuadExt, QuadExt
     return beta, gamma
 
 
-def closed_form_affine(a0: int, a1: int, eps: int, n: int) -> int:
-    """n-th term of L_0 = a0, L_1 = a1, L_n = L_{n-1} + L_{n-2} + eps.
+def closed_form_affine_row(a0: int, a1: int, eps: int, lo: int,
+                           hi: int) -> list[int]:
+    """Terms lo..hi of L_0 = a0, L_1 = a1, L_n = L_{n-1} + L_{n-2} + eps.
 
-    Evaluated exactly through Q(sqrt 5); the shifted sequence L_n + eps
-    satisfies the pure two-term recurrence, so the irrational part cancels.
+    Evaluated exactly through Q(sqrt 5) as beta*phi^n + gamma*psi^n - eps:
+    the shifted sequence L_n + eps satisfies the pure two-term recurrence,
+    so the irrational part cancels.  The constants and phi^lo, psi^lo are
+    computed once; each further index costs one multiplication by phi and
+    one by psi.  Every term goes through ``as_integer``, which raises
+    ValueError unless the irrational part vanishes and the value is whole.
     """
-    if n < 0:
-        raise ValueError("closed_form_affine requires n >= 0")
+    if not 0 <= lo <= hi:
+        raise ValueError("closed_form_affine_row requires 0 <= lo <= hi")
     beta, gamma = two_point_constants(a0 + eps, a1 + eps)
-    value = beta * quad_pow(PHI, n) + gamma * quad_pow(PSI, n) - eps
-    return value.as_integer()
+    x = beta * quad_pow(PHI, lo)
+    y = gamma * quad_pow(PSI, lo)
+    row = []
+    for _ in range(lo, hi + 1):
+        row.append((x + y - eps).as_integer())
+        x, y = x * PHI, y * PSI
+    return row
+
+
+def closed_form_affine(a0: int, a1: int, eps: int, n: int) -> int:
+    """n-th term of L_0 = a0, L_1 = a1, L_n = L_{n-1} + L_{n-2} + eps: the
+    one-term row of ``closed_form_affine_row``."""
+    return closed_form_affine_row(a0, a1, eps, n, n)[0]

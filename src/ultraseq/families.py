@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
-from .exactmath import closed_form_affine, fib, lucas
+from .exactmath import closed_form_affine_row, fib, lucas
 from .seqcore import (
     Periodic,
     SeqWindow,
@@ -68,8 +68,17 @@ def pi_closed(m: int, n: int, method: str = "fib") -> int:
     if method == "fib":
         return m * fib(n - 1) + 2 * fib(n + 2) - 2
     if method == "quad":
-        return closed_form_affine(m, 2, 2, n)
+        return pi_quad_row(m, n, n)[0]
     raise ValueError(f"unknown method {method!r}")
+
+
+def pi_quad_row(m: int, lo: int, hi: int) -> list[int]:
+    """``pi_closed(m, n, 'quad')`` for n = lo..hi, in one pass: the constants
+    and the powers at lo are computed once, then two multiplications per
+    index."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return closed_form_affine_row(m, 2, 2, lo, hi)
 
 
 def pi_row_relation(m: int, t: int, n: int) -> int:

@@ -2,8 +2,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +291,20 @@ class TestUsage:
         code, out, err = run(capsys, "gen", "--family", "pi:m=1",
                              "--range", "0..2", "--format", "csv")
         assert (code, out, err) == (0, "index,value\n0,1\n1,2\n2,5\n", "")
+
+    def test_package_runs_as_a_module_from_the_checkout(self):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run_module(*argv):
+            return subprocess.run([sys.executable, "-m", "ultraseq", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        ok = run_module("gen", "--family", "pi:m=1", "--range", "0..2",
+                        "--format", "csv")
+        assert ok.returncode == 0
+        assert ok.stdout == "index,value\n0,1\n1,2\n2,5\n"
+        assert run_module("gen", "--family", "pi:m=1").returncode == 2
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -32,6 +32,9 @@ APPROX = "approx --family composite:left=tau:m=1,P=5,N=1,seed=1 --base 8 --rmax 
 APPROX_ROWS = [(0, 320.99999999999994, "321", 1.7708230174706546e-16),
                (1, 589.0, "589", 0.0),
                (2, 1088.6666666666663, "1096", 0.006690997566910321)]
+CLOSED_M7 = [(37, 231004434), (38, 373773027), (39, 604777463),
+             (40, 978550492), (41, 1583327957), (42, 2561878451),
+             (43, 4145206410), (44, 6707084863), (45, 10852291275)]
 CANONICAL_M1 = ["tau:m=1,P=5,N=1", "tau:m=1,P=4,N=1", "tau:m=1,P=3,N=1"]
 
 GOLDEN = [
@@ -87,6 +90,15 @@ GOLDEN = [
     ("closed-form --family pi:m=5 --range 0..3", 0,
      "index  iterative  fib_form  quad_form\n"
      "0  5  5  5\n1  2  2  2\n2  9  9  9\n3  13  13  13\n"),
+    ("closed-form --family pi:m=7 --range 37..45 --format csv", 0,
+     "index,iterative,fib_form,quad_form\n"
+     + "".join(f"{n},{v},{v},{v}\n" for n, v in CLOSED_M7)),
+    ("closed-form --family pi:m=7 --range 37..45 --format json", 0,
+     _json([{"index": n, "iterative": v, "fib_form": v, "quad_form": v}
+            for n, v in CLOSED_M7])),
+    ("closed-form --family pi:m=7 --range 37..45", 0,
+     "index  iterative  fib_form  quad_form\n"
+     + "".join(f"{n}  {v}  {v}  {v}\n" for n, v in CLOSED_M7)),
     # enumerate
     ("enumerate --m 1 --canonical", 0,
      "\n".join(CANONICAL_M1) + "\n3 configurations\n"),

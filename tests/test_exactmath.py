@@ -1,15 +1,21 @@
 """Exact arithmetic in Q(sqrt 5), Fibonacci/Lucas helpers, closed forms."""
+import math
+import operator
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ultraseq import exactmath
 from ultraseq.exactmath import (
     PHI,
     PSI,
     SQRT5,
     QuadExt,
     closed_form_affine,
+    closed_form_affine_row,
     fib,
     lucas,
     quad_pow,
@@ -19,6 +25,7 @@ from ultraseq.exactmath import (
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
 quads = st.builds(QuadExt, fractions, fractions)
+scalars = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
 
 
 def _fib_linear(n: int) -> int:
@@ -26,6 +33,120 @@ def _fib_linear(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+@dataclass(frozen=True)
+class _FracQuad:
+    """Oracle: a + b*sqrt(5) as a pair of Fractions, each operation done
+    componentwise in Fraction arithmetic."""
+
+    a: Fraction
+    b: Fraction
+
+    def __init__(self, a, b=0):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, _FracQuad) else _FracQuad(other)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _FracQuad(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FracQuad(-self.a, -self.b)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return _FracQuad(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return _FracQuad(self.a * o.a + 5 * self.b * o.b,
+                         self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        norm = self.a * self.a - 5 * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError("zero element of Q(sqrt 5)")
+        return _FracQuad(self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    @property
+    def is_rational(self):
+        return self.b == 0
+
+    @property
+    def is_integer(self):
+        return self.b == 0 and self.a.denominator == 1
+
+    def as_integer(self):
+        if not self.is_integer:
+            raise ValueError(f"{self!r} is not an integer")
+        return int(self.a)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * 5 ** 0.5
+
+    def __repr__(self):
+        return f"QuadExt({self.a}, {self.b})"
+
+
+def _frac_pow(x: _FracQuad, n: int) -> _FracQuad:
+    if n < 0:
+        raise ValueError("quad_pow requires n >= 0")
+    result = _FracQuad(1)
+    for _ in range(n):
+        result = result * x
+    return result
+
+
+def _agrees(x: QuadExt, o: _FracQuad) -> bool:
+    """Same value, stored in canonical form: d > 0, gcd(p, q, d) = 1."""
+    return ((x.a, x.b) == (o.a, o.b) and x.d > 0
+            and math.gcd(x.p, x.q, x.d) == 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    """The same value, or the same exception type and message."""
+    if isinstance(want, _FracQuad):
+        return isinstance(got, QuadExt) and _agrees(got, want)
+    return got == want
+
+
+def _count_muls(monkeypatch):
+    """Count every QuadExt multiplication made from now on."""
+    calls = [0]
+    mul = QuadExt.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    monkeypatch.setattr(QuadExt, "__rmul__", counting)
+    return calls
 
 
 class TestQuadExt:
@@ -93,6 +214,86 @@ class TestQuadExt:
         assert quad_pow(PHI, n) == QuadExt(fib(n - 1)) + QuadExt(fib(n)) * PHI
 
 
+class TestAgainstFractionOracle:
+    """Every operation of the integer-backed QuadExt against _FracQuad."""
+
+    @given(fractions, fractions)
+    def test_construction_and_predicates(self, a, b):
+        x, o = QuadExt(a, b), _FracQuad(a, b)
+        assert _agrees(x, o)
+        assert repr(x) == repr(o)
+        assert x.is_rational == o.is_rational
+        assert x.is_integer == o.is_integer
+        assert _outcome(x.as_integer) == _outcome(o.as_integer)
+        assert float(x) == float(o)
+        assert _same(_outcome(x.inverse), _outcome(o.inverse))
+
+    @given(fractions, fractions, fractions, fractions)
+    def test_binary_operations(self, a, b, c, e):
+        x, y = QuadExt(a, b), QuadExt(c, e)
+        ox, oy = _FracQuad(a, b), _FracQuad(c, e)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            assert _same(_outcome(op, x, y), _outcome(op, ox, oy))
+        assert _agrees(-x, -ox)
+        assert (x == y) == (ox == oy)
+
+    @given(fractions, fractions, scalars)
+    def test_mixed_operations_with_scalars(self, a, b, s):
+        x, o = QuadExt(a, b), _FracQuad(a, b)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            for args, oargs in (((x, s), (o, s)), ((s, x), (s, o))):
+                assert _same(_outcome(op, *args), _outcome(op, *oargs))
+        assert (x == s) == (o == s)
+
+    @given(fractions, fractions, st.integers(min_value=-3, max_value=30))
+    def test_powers(self, a, b, n):
+        x, o = QuadExt(a, b), _FracQuad(a, b)
+        want = _outcome(_frac_pow, o, n)
+        assert _same(_outcome(quad_pow, x, n), want)
+        assert _same(_outcome(pow, x, n), want)
+
+    def test_zero_and_negative_power_errors(self):
+        zero = QuadExt(0)
+        with pytest.raises(ZeroDivisionError, match="zero element"):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            PHI / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+        with pytest.raises(ValueError, match="n >= 0"):
+            quad_pow(PHI, -1)
+
+    @given(quads, quads)
+    def test_equal_values_hash_equal(self, x, y):
+        paths = [x + y - y, (x - y) + y, -(-x)]
+        if y != QuadExt(0):
+            paths += [x * y / y, (x / y) * y]
+        for z in paths:
+            assert z == x and hash(z) == hash(x)
+            assert (z.p, z.q, z.d) == (x.p, x.q, x.d)
+
+    def test_equal_values_by_different_paths_hash_equal(self):
+        pairs = [(PHI * PHI, PHI + 1), (PHI + PSI, QuadExt(1)),
+                 (QuadExt(Fraction(2, 4), Fraction(3, 3)),
+                  QuadExt(Fraction(1, 2), 1)),
+                 (SQRT5 * SQRT5, QuadExt(5)), (quad_pow(PHI, 10), PHI ** 10),
+                 (PHI ** 5 * PSI ** 5, QuadExt(-1))]
+        for u, v in pairs:
+            assert u == v and hash(u) == hash(v)
+        assert len({u for pair in pairs for u in pair}) == len(pairs)
+
+    def test_immutable_and_picklable(self):
+        x = QuadExt(Fraction(3, 4), -2)
+        with pytest.raises(AttributeError):
+            x.p = 1
+        with pytest.raises(AttributeError):
+            x.a = 1
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert (x.p, x.q, x.d) == (3, -8, 4)
+
+
 class TestFibLucas:
     def test_known_values(self):
         assert [fib(n) for n in range(11)] == [0, 1, 1, 2, 3, 5, 8, 13, 21,
@@ -133,17 +334,78 @@ class TestTwoPointConstants:
             assert got == QuadExt(expected)
 
 
+#: c in the row's multiplication bound 2*(hi - lo) + c*bit_length(hi)
+ROW_LOG_MULS = 8
+
+
+def _affine_iteration(a0, a1, eps, hi):
+    seq = [a0, a1]
+    while len(seq) <= hi:
+        seq.append(seq[-1] + seq[-2] + eps)
+    return seq
+
+
 class TestClosedFormAffine:
     @given(st.integers(min_value=-30, max_value=30),
            st.integers(min_value=-30, max_value=30),
            st.integers(min_value=-10, max_value=10),
            st.integers(min_value=0, max_value=60))
     def test_matches_direct_iteration(self, a0, a1, eps, n):
-        seq = [a0, a1]
-        while len(seq) <= n:
-            seq.append(seq[-1] + seq[-2] + eps)
-        assert closed_form_affine(a0, a1, eps, n) == seq[n]
+        assert closed_form_affine(a0, a1, eps, n) == \
+            _affine_iteration(a0, a1, eps, n)[n]
 
     def test_known_row(self):
         assert [closed_form_affine(5, 2, 2, n) for n in range(6)] == \
             [5, 2, 9, 13, 24, 39]
+
+    @given(st.integers(min_value=-30, max_value=30),
+           st.integers(min_value=-30, max_value=30),
+           st.integers(min_value=-10, max_value=10),
+           st.integers(min_value=0, max_value=60),
+           st.integers(min_value=0, max_value=30))
+    def test_row_matches_scalar_and_iteration(self, a0, a1, eps, lo, extra):
+        hi = lo + extra
+        row = closed_form_affine_row(a0, a1, eps, lo, hi)
+        assert row == _affine_iteration(a0, a1, eps, hi)[lo:hi + 1]
+        assert row == [closed_form_affine(a0, a1, eps, n)
+                       for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 25), (9, 9), (13, 40)])
+    def test_row_bounds(self, lo, hi):
+        row = closed_form_affine_row(-7, 3, -4, lo, hi)
+        assert row == _affine_iteration(-7, 3, -4, hi)[lo:hi + 1]
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (5, 4)])
+    def test_row_rejects_bad_bounds(self, lo, hi):
+        with pytest.raises(ValueError):
+            closed_form_affine_row(1, 2, 2, lo, hi)
+
+    @pytest.mark.parametrize("shift", [SQRT5 / 7, QuadExt(Fraction(1, 3))])
+    def test_perturbed_constant_raises(self, monkeypatch, shift):
+        """Each value goes through the exactness check, so a wrong constant
+        is caught rather than rounded away."""
+        real = exactmath.two_point_constants
+
+        def perturbed(l0, l1):
+            beta, gamma = real(l0, l1)
+            return beta + shift, gamma
+
+        monkeypatch.setattr(exactmath, "two_point_constants", perturbed)
+        with pytest.raises(ValueError, match="not an integer"):
+            closed_form_affine_row(5, 2, 2, 3, 8)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 200), (37, 45),
+                                        (150, 151), (300, 900), (1000, 1000)])
+    def test_row_multiplications_are_linear_plus_log(self, monkeypatch, lo,
+                                                     hi):
+        calls = _count_muls(monkeypatch)
+        closed_form_affine_row(7, 2, 2, lo, hi)
+        assert calls[0] <= 2 * (hi - lo) + ROW_LOG_MULS * hi.bit_length()
+
+    def test_per_index_powers_exceed_the_row_bound(self, monkeypatch):
+        calls = _count_muls(monkeypatch)
+        lo, hi = 0, 200
+        beta, gamma = two_point_constants(9, 4)
+        for n in range(lo, hi + 1):
+            beta * quad_pow(PHI, n) + gamma * quad_pow(PSI, n)
+        assert calls[0] > 2 * (hi - lo) + ROW_LOG_MULS * hi.bit_length()

@@ -31,6 +31,7 @@ from ultraseq.families import (
     omega_window,
     parse_tau_descriptor,
     pi_closed,
+    pi_quad_row,
     pi_row_relation,
     pi_star_even_closed,
     pi_star_window,
@@ -76,6 +77,12 @@ class TestPiFamily:
     def test_closed_form_methods_agree(self, m, n):
         assert pi_closed(m, n, "fib") == pi_closed(m, n, "quad")
 
+    @pytest.mark.parametrize("m, lo, hi", [(1, 0, 30), (7, 37, 45),
+                                           (9, 150, 151), (4, 12, 12)])
+    def test_quad_row_matches_fib_form(self, m, lo, hi):
+        assert pi_quad_row(m, lo, hi) == [pi_closed(m, n, "fib")
+                                          for n in range(lo, hi + 1)]
+
     def test_closed_form_matches_generation(self):
         for m in (1, 5, 8):
             w = pi_window(m, 40)
@@ -96,6 +103,10 @@ class TestPiFamily:
             pi_closed(1, -1)
         with pytest.raises(ValueError):
             pi_closed(1, 3, "mystery")
+        with pytest.raises(ValueError):
+            pi_quad_row(0, 0, 3)
+        with pytest.raises(ValueError):
+            pi_quad_row(1, -1, 3)
 
 
 class TestDeltaIdentities:
