@@ -16,7 +16,7 @@ from .errors import UltraseqError
 from .families import (
     approx_report,
     build_family,
-    descriptor_growth_m,
+    parse_family,
     parse_range,
     pi_closed,
     tau_enumerate,
@@ -198,10 +198,10 @@ def _cmd_closed_form(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
     if lo < 0:
         raise ValueError("closed forms are defined for indices >= 0")
-    kind, _, body = args.family.partition(":")
-    if kind != "pi":
+    family = parse_family(args.family)
+    if family.kind != "pi":
         raise ValueError("closed-form comparison supports pi families")
-    m = int(families._split_params(body)["m"])
+    m = family.values["m"]
     w = families.pi_window(m, hi + 1)
     header = ("index", "iterative", "fib_form", "quad_form")
     quad = families.pi_quad_row(m, lo, hi)
@@ -230,10 +230,12 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 
 
 def _cmd_approx(args) -> tuple[str, int]:
-    m = descriptor_growth_m(args.family)
-    hi = args.base + args.rmax + 2
-    w = build_family(args.family, 0, hi)
-    report = approx_report(w, m, args.base, args.rmax)
+    family = parse_family(args.family)
+    if family.growth_m is None:
+        raise ValueError(f"family {args.family!r} has no periodic left tail "
+                         "to approximate")
+    w = family.window(0, args.base + args.rmax + 2)
+    report = approx_report(w, family.growth_m, args.base, args.rmax)
     if args.format == "table":
         lines = [f"xi = {report.model.xi}, phi_m = {report.model.phi_m:.6f}",
                  f"empirical ratio = {report.empirical_ratio:.6f} "
@@ -253,9 +255,9 @@ def _cmd_reference(args) -> tuple[str, int]:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     if args.sequence == "q":
-        table = reference.hofstadter_q_table(max(args.count, 2))
+        table = reference.hofstadter_q_table(args.count)
     else:
-        table = reference.conway_table(max(args.count, 2))
+        table = reference.conway_table(args.count)
     pairs = [(n, str(table[n])) for n in range(1, args.count + 1)]
     if args.format == "table":
         text = "\n".join(f"{n}  {v}" for n, v in pairs) + "\n"

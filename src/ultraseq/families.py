@@ -7,11 +7,11 @@ two-point growth approximation model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
+from .errors import DegenerateBase, IdentityViolation, InvalidConfig
 from .exactmath import closed_form_affine_row, fib, lucas
 from .seqcore import (
     Periodic,
@@ -21,7 +21,7 @@ from .seqcore import (
     constant,
     difference,
     extend_right_by_O,
-    max_window_len,
+    check_window_len,
 )
 
 
@@ -164,29 +164,41 @@ def delta_identities(m: int, k: int, n: int) -> dict:
 
 # --- the pi* family -----------------------------------------------------------
 
-def _pi_star_right(m: int, n_max: int) -> list[int]:
+def _pi_star_right(m: int, n_max: int,
+                   reach: Optional[int] = None) -> list[int]:
     """Right-side values at indices 0..n_max (doubling at even indices,
-    +4 at odd indices after the first four values)."""
+    +4 at odd indices after the first four values).
+
+    With ``reach``, the values run on past n_max, two indices at a time,
+    until the mirror of the last odd-index value lies at or left of index
+    reach.  The window then holds more values than any odd-index value, so
+    one over the window cap is refused before the next value is computed.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     right = [m, 2, m + 4, m + 8]
-    for idx in range(4, n_max + 1):
-        if idx % 2 == 0:
-            right.append(2 * right[idx - 1] - 2)
-        else:
-            right.append(right[idx - 1] + 4)
-    return right
+    while True:
+        idx, j = len(right), (len(right) - 2) | 1  # j: the last odd index
+        if reach is not None:
+            check_window_len(right[j] + 1, f"pistar m={m} window")
+        if idx > n_max:
+            if reach is None or j - right[j] <= reach:
+                return right
+            n_max += 2
+        right.append(2 * right[-1] - 2 if idx % 2 == 0 else right[-1] + 4)
 
 
-def pi_star_window(m: int, n_max: int) -> SeqWindow:
+def pi_star_window(m: int, n_max: int, reach: int = 0) -> SeqWindow:
     """Sparse-left variant: doubling growth on the right, with each odd-index
     value v at position j mirrored as -v at position -(v - j); -2 elsewhere
-    on the materialized left side."""
-    right = _pi_star_right(m, n_max)
+    on the materialized left side.  The right side runs past n_max when the
+    left side must reach further, to index ``reach``; a window over the cap
+    is refused before it is built."""
+    right = _pi_star_right(m, n_max, reach)
     placements = {}
-    for j in range(3, n_max + 1, 2):
+    for j in range(3, len(right), 2):
         placements[-(right[j] - j)] = -right[j]
     lo = min(placements)
     left_vals = [placements.get(kk, -2) for kk in range(lo, 0)]
@@ -254,12 +266,12 @@ class TauConfig:
         return f"tau:m={self.m},P={p},N={n}"
 
 
-def tau_window(c: TauConfig, periods: int = 1) -> SeqWindow:
+def tau_window(c: TauConfig | OPowerConfig, periods: int = 1) -> SeqWindow:
+    """``periods`` copies of the config's unit from index 1, continued
+    periodically on both sides."""
     if periods < 1:
         raise ValueError("periods must be >= 1")
     unit = c.unit()
-    if sum(unit) != -4 * c.m - 4:
-        raise InvalidConfig("period sum is off")  # unreachable by construction
     return SeqWindow(1, unit * periods,
                      left=Periodic(unit), right=Periodic(unit))
 
@@ -277,10 +289,8 @@ def tau_enumerate(m: int, canonical: bool = False) -> list[TauConfig]:
     # count placements of period values each; the rotation classes number
     # about count/period, so the canonical output is about count values
     count = (2 * m + 1) ** 2 * math.comb(2 * m, m)
-    size, cap = count * (1 if canonical else period), max_window_len()
-    if size > cap:
-        raise TooLarge(f"enumerating m={m} would emit about {size} values, "
-                       f"over the window cap ({cap})")
+    check_window_len(count * (1 if canonical else period),
+                     f"the m={m} enumeration, an output")
     symbols = (-period, -2, period)
     left = dict(zip(symbols, (m, 2 * m + 2, m)))
     placed = {v: [] for v in symbols}  # the 1-based positions of each value
@@ -327,6 +337,7 @@ def omega_value(j: int) -> int:
 
 
 def omega_slice(a: int, b: int) -> list[int]:
+    check_window_len(b - a + 1, "omega slice")
     return [omega_value(j) for j in range(a, b + 1)]
 
 
@@ -340,25 +351,17 @@ def omega_window(half_extent: int) -> SeqWindow:
 
 # --- composite seeded rows -------------------------------------------------------
 
-def composite_seed(left: SeqWindow, mid: Sequence[int], seed: int,
-                   steps: int) -> SeqWindow:
-    """Concatenate a left-infinite periodic tail, a finite middle segment
-    and a positive seed, then generate ``steps`` values forward."""
+def composite_row(c: TauConfig, mid: Sequence[int], seed: int,
+                  steps: int) -> SeqWindow:
+    """A left-infinite tail of c's unit, a finite middle segment and a
+    positive seed at index 0, then ``steps`` values generated forward."""
     if seed < 1:
         raise ValueError("seed must be >= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    w = concat(left, list(mid))
-    w = concat(w, [seed])
-    return extend_right_by_O(w, steps)
-
-
-def composite_row(c: TauConfig, mid: Sequence[int], seed: int,
-                  steps: int) -> SeqWindow:
-    """Composite anchored so the seed sits at index 0."""
     mid = list(mid)
-    left = breve(c.unit(), beta=-len(mid) - 1)
-    return composite_seed(left, mid, seed, steps)
+    w = concat(breve(c.unit(), beta=-len(mid) - 1), mid + [seed])
+    return extend_right_by_O(w, steps)
 
 
 # --- growth approximation ---------------------------------------------------------
@@ -470,12 +473,7 @@ class OPowerConfig:
         return f"opower:r={self.r},unit={','.join(self.placement)}"
 
 
-def o_power_window(c: OPowerConfig, periods: int = 1) -> SeqWindow:
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    unit = c.unit()
-    return SeqWindow(1, unit * periods,
-                     left=Periodic(unit), right=Periodic(unit))
+o_power_window = tau_window
 
 
 def canonical_o_power_config(m: int) -> OPowerConfig:
@@ -486,23 +484,6 @@ def canonical_o_power_config(m: int) -> OPowerConfig:
 
 
 # --- family descriptors --------------------------------------------------------------
-
-def _split_params(body: str) -> dict[str, str]:
-    """Parse ``key=value`` pairs; comma tokens without '=' extend the last
-    value (needed for comma-separated unit lists)."""
-    params: dict[str, str] = {}
-    last: Optional[str] = None
-    for part in body.split(","):
-        if "=" in part:
-            key, _, val = part.partition("=")
-            params[key.strip()] = val.strip()
-            last = key.strip()
-        elif last is not None:
-            params[last] += "," + part.strip()
-        else:
-            raise ValueError(f"cannot parse parameter fragment {part!r}")
-    return params
-
 
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive index range written ``a..b``."""
@@ -515,79 +496,104 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_tau_descriptor(text: str) -> TauConfig:
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(";")]
+
+
+def _body(kind: str, text: str) -> str:
+    """The body of a value that must be a ``kind:...`` descriptor."""
+    head, _, body = text.partition(":")
+    if head != kind:
+        raise ValueError(f"expected {kind}:..., got {text!r}")
+    return body
+
+
+#: each kind's keys, with the conversion of each value
+_KEYS = {
+    "pi": {"m": int},
+    "pistar": {"m": int},
+    "tau": {"m": int, "P": _ints, "N": _ints},
+    "omega": {"extent": int},
+    "opower": {"r": int, "unit": lambda t: t.split(",")},
+    "composite": {
+        "left": lambda t: parse_family("tau:" + _body("tau", t)).config,
+        "mid": lambda t: parse_range(_body("omega", t)),
+        "seed": int, "steps": int},
+}
+#: keys that may be left out; a composite runs ``steps`` to the range end
+_OPTIONAL = {"mid", "steps"}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A parsed family descriptor: its kind, each key's converted value, and
+    the config of a tau or opower family."""
+
+    kind: str
+    values: dict = field(hash=False)
+    config: TauConfig | OPowerConfig | None = None
+
+    @property
+    def growth_m(self) -> Optional[int]:
+        """The left-tail parameter governing growth, for approximation
+        reports; None for a family without a periodic left tail."""
+        tau = self.config if self.kind == "tau" else self.values.get("left")
+        return tau and tau.m
+
+    def window(self, lo: int, hi: int) -> SeqWindow:
+        """A window covering [lo, hi] where the family allows."""
+        v = self.values
+        if self.config is not None:
+            return tau_window(self.config, periods=3)
+        if self.kind == "pi":
+            return pi_window(v["m"], max(hi + 2, 1))
+        if self.kind == "pistar":
+            return pi_star_window(v["m"], max(hi + 2, 5), reach=lo)
+        if self.kind == "omega":
+            return omega_window(max(v["extent"], -(lo // 2), (hi - 1) // 2, 2))
+        mid = omega_slice(*v["mid"]) if "mid" in v else []
+        return composite_row(v["left"], mid, v["seed"],
+                             max(v.get("steps", hi), 1))
+
+
+def parse_family(text: str) -> Family:
+    """Parse a descriptor ``kind:key=value,...`` against the kind's keys.
+
+    A comma fragment without '=' continues the value before it
+    (``unit=+,-,-``), and so does a key this kind does not take when that
+    value is itself a descriptor (``left=tau:m=1,P=5,N=1``).  A missing,
+    unknown or repeated key, or a value that does not convert, raises
+    ValueError naming the kind's keys.
+    """
     kind, _, body = text.partition(":")
-    if kind != "tau":
-        raise ValueError(f"expected a tau descriptor, got {text!r}")
-    params = _split_params(body)
-    return TauConfig(
-        int(params["m"]),
-        (int(v) for v in params["P"].split(";")),
-        (int(v) for v in params["N"].split(";")),
-    )
-
-
-def _split_composite(body: str) -> dict[str, str]:
-    # the left descriptor itself contains commas; split only before keys
-    import re
-    parts = re.split(r",(?=(?:left|mid|seed|steps)=)", body)
-    out = {}
-    for part in parts:
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise ValueError(f"cannot parse composite fragment {part!r}")
-        out[key] = val
-    return out
+    if kind not in _KEYS:
+        raise ValueError(f"unknown family descriptor {text!r}; kinds are "
+                         f"{', '.join(_KEYS)}")
+    keys, raw, last = _KEYS[kind], {}, None
+    try:
+        for part in map(str.strip, body.split(",") if body else []):
+            key, eq, val = part.partition("=")
+            if eq and key in keys and key not in raw:
+                raw[key], last = val, key
+            elif last and (not eq or "=" in raw[last]):
+                raw[last] += "," + part
+            else:
+                raise ValueError(
+                    f"{'repeated' if key in raw else 'unknown'} key {key!r}")
+        missing = [k for k in keys if k not in raw and k not in _OPTIONAL]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        v = {key: keys[key](val) for key, val in raw.items()}
+    except ValueError as exc:
+        accepted = ", ".join(k + " (optional)" * (k in _OPTIONAL)
+                             for k in keys)
+        raise ValueError(f"bad descriptor {text!r}: {exc}; {kind} takes "
+                         f"{accepted}") from None
+    config = (TauConfig(v["m"], v["P"], v["N"]) if kind == "tau" else
+              OPowerConfig(v["r"], v["unit"]) if kind == "opower" else None)
+    return Family(kind, v, config)
 
 
 def build_family(descriptor: str, lo: int, hi: int) -> SeqWindow:
     """Construct a family window covering [lo, hi] where the family allows."""
-    kind, _, body = descriptor.partition(":")
-    if kind == "pi":
-        params = _split_params(body)
-        return pi_window(int(params["m"]), max(hi + 2, 1))
-    if kind == "pistar":
-        params = _split_params(body)
-        m = int(params["m"])
-        n_max = max(hi + 2, 5)
-        w = pi_star_window(m, n_max)
-        while w.lo > lo and n_max < 400:
-            n_max += 2
-            w = pi_star_window(m, n_max)
-        return w
-    if kind == "tau":
-        return tau_window(parse_tau_descriptor(descriptor), periods=3)
-    if kind == "omega":
-        params = _split_params(body)
-        extent = int(params["extent"])
-        needed = max(-(lo // 2), (hi - 1) // 2, 2)
-        return omega_window(max(extent, needed))
-    if kind == "opower":
-        params = _split_params(body)
-        c = OPowerConfig(int(params["r"]), params["unit"].split(","))
-        return o_power_window(c, periods=3)
-    if kind == "composite":
-        parts = _split_composite(body)
-        tau = parse_tau_descriptor(parts["left"])
-        mid: list[int] = []
-        if "mid" in parts:
-            mk, _, mbody = parts["mid"].partition(":")
-            if mk != "omega":
-                raise ValueError("composite mid must be an omega slice")
-            a, b = parse_range(mbody)
-            mid = omega_slice(a, b)
-        seed = int(parts["seed"])
-        steps = int(parts.get("steps", max(hi, 1)))
-        return composite_row(tau, mid, seed, max(steps, 1))
-    raise ValueError(f"unknown family descriptor {descriptor!r}")
-
-
-def descriptor_growth_m(descriptor: str) -> int:
-    """The left-tail parameter governing growth, for approximation reports."""
-    kind, _, body = descriptor.partition(":")
-    if kind == "tau":
-        return parse_tau_descriptor(descriptor).m
-    if kind == "composite":
-        return parse_tau_descriptor(_split_composite(body)["left"]).m
-    raise ValueError(
-        f"family {descriptor!r} has no periodic left tail to approximate")
+    return parse_family(descriptor).window(lo, hi)

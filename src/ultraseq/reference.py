@@ -1,54 +1,43 @@
-"""Classical strange-recursion generators used as cross-checks."""
+"""Classical strange-recursion generators used as cross-checks.
+
+Each table is a list with slot 0 unused, so ``table[n]`` is the value at n.
+"""
 from __future__ import annotations
 
 from .errors import IndexUnderflow
 
 
-class MemoTable:
-    """1-indexed growable table seeded with two initial values.
-
-    Entries are written bottom-up exactly once; completed tables are safe
-    for concurrent reads.
-    """
-
-    def __init__(self, seed1: int = 1, seed2: int = 1):
-        self._values = [seed1, seed2]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, n: int) -> int:
-        if n < 1 or n > len(self._values):
-            raise IndexUnderflow(n)
-        return self._values[n - 1]
-
-    def append(self, value: int) -> None:
-        self._values.append(value)
+def _index(n: int) -> int:
+    """A computed index, refused below 1, where a list would wrap around."""
+    if n < 1:
+        raise IndexUnderflow(n)
+    return n
 
 
-def hofstadter_q_table(n: int) -> MemoTable:
+def hofstadter_q_table(n: int) -> list[int]:
     """Table of Q values 1..n; Q_n = Q_{n-Q_{n-1}} + Q_{n-Q_{n-2}}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = MemoTable()
+    table = [0, 1, 1]
     for k in range(3, n + 1):
-        table.append(table[k - table[k - 1]] + table[k - table[k - 2]])
+        table.append(table[_index(k - table[k - 1])]
+                     + table[_index(k - table[k - 2])])
     return table
 
 
 def hofstadter_q(n: int) -> int:
-    return hofstadter_q_table(max(n, 2))[n]
+    return hofstadter_q_table(_index(n))[n]
 
 
-def conway_table(n: int) -> MemoTable:
+def conway_table(n: int) -> list[int]:
     """Table of Conway values 1..n; C_n = C_{C_{n-1}} + C_{n-C_{n-1}}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = MemoTable()
+    table = [0, 1, 1]
     for k in range(3, n + 1):
-        table.append(table[table[k - 1]] + table[k - table[k - 1]])
+        table.append(table[table[k - 1]] + table[_index(k - table[k - 1])])
     return table
 
 
 def conway(n: int) -> int:
-    return conway_table(max(n, 2))[n]
+    return conway_table(_index(n))[n]

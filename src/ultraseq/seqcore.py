@@ -38,6 +38,14 @@ def max_window_len() -> int:
     return int(raw)
 
 
+def check_window_len(size: int, what: str = "window") -> None:
+    """Refuse ``size`` values over the cap, before they are built."""
+    cap = max_window_len()
+    if size > cap:
+        raise TooLarge(f"{what} of {size} values exceeds the cap ({cap}); "
+                       f"raise {MAX_WINDOW_ENV} to override")
+
+
 def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
@@ -79,10 +87,7 @@ class SeqWindow:
         values = tuple(int(v) for v in values)
         if not values:
             raise WindowTooSmall("window must hold at least one value")
-        if len(values) > max_window_len():
-            raise TooLarge(
-                f"window of {len(values)} values exceeds the cap "
-                f"({max_window_len()}); raise {MAX_WINDOW_ENV} to override")
+        check_window_len(len(values))
         object.__setattr__(self, "lo", int(lo))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "left", left)
@@ -261,9 +266,7 @@ def extend_right_by_O(w: SeqWindow, steps: int,
         raise ValueError("steps must be >= 1")
     if w.right is not None:
         raise IncompatibleShape("window already has a right extension rule")
-    if len(w.values) + steps > max_window_len():
-        raise TooLarge(f"extension would exceed the window cap "
-                       f"({max_window_len()})")
+    check_window_len(len(w.values) + steps, "extended window")
     supplied = supplied or {}
     vals = list(w.values)
     prefix = list(accumulate(vals, initial=0))

@@ -256,6 +256,56 @@ class TestExport:
         assert code == 2 and "error:" in err
 
 
+class TestFamilyDescriptors:
+    @pytest.mark.parametrize("descriptor,keys", [
+        ("pi:m=1,x=3", "pi takes m"),
+        ("pistar:m=1,q=1", "pistar takes m"),
+        ("pi:m=1,m=2", "pi takes m"),
+        ("pi:m=x", "pi takes m"),
+        ("tau:m=1", "tau takes m, P, N"),
+        ("opower:r=3", "opower takes r, unit"),
+        ("omega:extent=3,extent=4", "omega takes extent"),
+        ("composite:left=tau:m=1,P=5,N=1,seed=1,bogus=3",
+         "composite takes left, mid (optional), seed, steps (optional)"),
+        ("composite:left=tau:m=1,P=5,N=1", "composite takes left"),
+    ])
+    # gen, verify, diff and export share build_family; closed-form and
+    # approx parse the descriptor themselves
+    @pytest.mark.parametrize("command", ["gen", "closed-form", "approx"])
+    def test_bad_descriptor_is_one_usage_error(self, capsys, command,
+                                               descriptor, keys):
+        argv = [command, "--family", descriptor]
+        if command != "approx":
+            argv += ["--range", "0..3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert keys in err
+
+    def test_approx_needs_a_periodic_left_tail(self, capsys):
+        code, _, err = run(capsys, "approx", "--family", "pi:m=1")
+        assert code == 2 and "no periodic left tail" in err
+
+    def test_pistar_over_the_cap_is_refused_before_it_is_built(self):
+        # a 1.5 GB address-space limit: building the window would end in a
+        # MemoryError traceback, refusing it first exits 2
+        def limit():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("ULTRASEQ_MAX_WINDOW", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultraseq", "gen", "--family", "pistar:m=1",
+             "--range", "0..60"],
+            capture_output=True, text=True, env=env, preexec_fn=limit,
+            timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in \
+            proc.stderr
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert dispatch(["mystery"]) == 2

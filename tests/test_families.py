@@ -3,6 +3,9 @@ composites, growth models, and descriptor parsing."""
 import gc
 import itertools
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +26,12 @@ from ultraseq.families import (
     build_family,
     composite_row,
     delta_identities,
-    descriptor_growth_m,
     canonical_o_power_config,
     o_power_window,
     omega_slice,
     omega_value,
     omega_window,
-    parse_tau_descriptor,
+    parse_family,
     pi_closed,
     pi_quad_row,
     pi_row_relation,
@@ -205,7 +207,7 @@ class TestTauFamily:
         c = TauConfig(1, {5}, {1})
         assert c.unit() == (-6, -2, -2, -2, 6, -2)
         assert c.descriptor() == "tau:m=1,P=5,N=1"
-        assert parse_tau_descriptor(c.descriptor()) == c
+        assert parse_family(c.descriptor()).config == c
 
     def test_validation_errors(self):
         with pytest.raises(InvalidConfig):
@@ -442,19 +444,144 @@ class TestDescriptors:
         assert w.slice(1, 10) == list(TauConfig(2, {6, 9}, {1, 3}).unit())
 
     def test_growth_parameter_extraction(self):
-        assert descriptor_growth_m("tau:m=2,P=6;9,N=1;3") == 2
-        assert descriptor_growth_m(
-            "composite:left=tau:m=1,P=5,N=1,seed=3") == 1
-        with pytest.raises(ValueError):
-            descriptor_growth_m("pi:m=1")
+        assert parse_family("tau:m=2,P=6;9,N=1;3").growth_m == 2
+        assert parse_family(
+            "composite:left=tau:m=1,P=5,N=1,seed=3").growth_m == 1
+        for descriptor in ("pi:m=1", "pistar:m=1", "omega:extent=3",
+                           "opower:r=3,unit=+,-,-"):
+            assert parse_family(descriptor).growth_m is None
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
             build_family("sigma:m=1", 0, 5)
-        with pytest.raises(ValueError):
-            parse_tau_descriptor("pi:m=1")
+        with pytest.raises(ValueError, match="got 'pi:m=1'"):
+            parse_family("composite:left=pi:m=1,seed=1")
+        with pytest.raises(ValueError, match="expected omega:"):
+            parse_family("composite:left=tau:m=1,P=5,N=1,mid=pi:1..2,seed=1")
 
     @settings(deadline=None, max_examples=25)
     @given(st.sampled_from(tau_enumerate(2)))
     def test_tau_descriptor_roundtrip(self, config):
-        assert parse_tau_descriptor(config.descriptor()) == config
+        assert parse_family(config.descriptor()).config == config
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_tau_descriptor_parses_back(self, m):
+        for config in tau_enumerate(m):
+            family = parse_family(config.descriptor())
+            assert family.kind == "tau" and family.config == config
+
+    def test_opower_descriptor_parses_back(self):
+        for config in (OPowerConfig(4, ("+", "0", "-", "-")),
+                       canonical_o_power_config(2)):
+            assert parse_family(config.descriptor()).config == config
+
+    def test_readme_descriptors_parse(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("**Families.**", 1)[1].split("**Growth.**", 1)[0]
+        descriptors = re.findall(r"^- `([a-z]+:[^`]*)`", section, re.M)
+        assert sorted(d.partition(":")[0] for d in descriptors) == sorted(
+            ["pi", "pistar", "tau", "omega", "composite", "opower"])
+        for descriptor in descriptors:
+            family = parse_family(descriptor)
+            assert family.window(0, 10).defined(0), descriptor
+
+    def test_nested_and_comma_values(self):
+        family = parse_family(
+            "composite:left=tau:m=2,P=6;9,N=1;3,mid=omega:-4..6,seed=1,"
+            "steps=9")
+        assert family.values == {"left": TauConfig(2, {6, 9}, {1, 3}),
+                                 "mid": (-4, 6), "seed": 1, "steps": 9}
+        assert parse_family("opower:r=3,unit=+,-,-").config == \
+            OPowerConfig(3, ("+", "-", "-"))
+        assert parse_family("opower:unit=+,-,-,r=3").config == \
+            OPowerConfig(3, ("+", "-", "-"))
+
+
+#: per kind, a valid descriptor, one with a key missing, one with an unknown
+#: key, one with a repeated key and one with a value that is not an integer
+BAD_DESCRIPTORS = {
+    "pi": ("pi:m=1", "pi:", "pi:m=1,x=3", "pi:m=1,m=2", "pi:m=x"),
+    "pistar": ("pistar:m=1", "pistar:", "pistar:m=1,q=1", "pistar:m=1,m=1",
+               "pistar:m=1.5"),
+    "tau": ("tau:m=1,P=5,N=1", "tau:m=1", "tau:m=1,P=5,N=1,Q=2",
+            "tau:m=1,P=5,N=1,P=5", "tau:m=1,P=5,N=a"),
+    "omega": ("omega:extent=3", "omega:", "omega:extent=3,width=2",
+              "omega:extent=3,extent=4", "omega:extent=three"),
+    "opower": ("opower:r=3,unit=+,-,-", "opower:r=3",
+               "opower:r=3,unit=+,-,-,s=1", "opower:r=3,r=3,unit=+,-,-",
+               "opower:r=x,unit=+,-,-"),
+    "composite": ("composite:left=tau:m=1,P=5,N=1,seed=1",
+                  "composite:left=tau:m=1,P=5,N=1",
+                  "composite:left=tau:m=1,P=5,N=1,seed=1,bogus=3",
+                  "composite:left=tau:m=1,P=5,N=1,seed=1,seed=2",
+                  "composite:left=tau:m=1,P=5,N=1,seed=1,steps=x"),
+}
+
+ACCEPTED_KEYS = {"pi": ["m"], "pistar": ["m"], "tau": ["m", "P", "N"],
+                 "omega": ["extent"], "opower": ["r", "unit"],
+                 "composite": ["left", "mid", "seed", "steps"]}
+
+
+class TestParseFamily:
+    @pytest.mark.parametrize("kind", sorted(BAD_DESCRIPTORS))
+    def test_each_kind_refuses_bad_keys_and_values(self, kind):
+        good, *bad = BAD_DESCRIPTORS[kind]
+        assert parse_family(good).kind == kind
+        for descriptor, problem in zip(bad, ("missing", "unknown", "repeated",
+                                             "invalid literal")):
+            with pytest.raises(ValueError) as exc:
+                parse_family(descriptor)
+            message = str(exc.value)
+            assert problem in message, message
+            assert f"{kind} takes " + ", ".join(ACCEPTED_KEYS[kind]) in \
+                message.replace(" (optional)", ""), message
+
+    def test_unknown_key_inside_a_nested_descriptor(self):
+        with pytest.raises(ValueError, match="tau takes m, P, N"):
+            parse_family("composite:left=tau:m=1,P=5,N=1,bogus=3,seed=1")
+
+    def test_invalid_placement_is_an_invalid_config(self):
+        with pytest.raises(InvalidConfig):
+            parse_family("tau:m=1,P=5,N=5")
+
+    def test_equal_descriptors_give_equal_families(self):
+        a = parse_family("composite:left=tau:m=1,P=5,N=1,seed=2")
+        b = parse_family("composite:seed=2,left=tau:m=1,P=5,N=1")
+        assert a == b and hash(a) == hash(b)
+        assert parse_family("pi:m=1") != parse_family("pi:m=2")
+
+    def test_build_family_is_parse_then_window(self):
+        for descriptor in ("pi:m=2", "pistar:m=1", "omega:extent=2",
+                           "composite:left=tau:m=1,P=5,N=1,seed=2"):
+            assert build_family(descriptor, -3, 9) == \
+                parse_family(descriptor).window(-3, 9)
+
+
+class TestWindowCap:
+    """Windows over the cap are refused before they are built: the peak of
+    traced memory stays far below what the refused window would take."""
+
+    @pytest.mark.parametrize("descriptor,lo,hi", [
+        ("pistar:m=1", 0, 40),
+        ("pistar:m=1", 0, 100000),
+        ("pistar:m=1", -10 ** 7, 3),
+        ("omega:extent=2", -3000000, 3),
+        ("composite:left=tau:m=1,P=5,N=1,mid=omega:-3000000..3,seed=1", 0, 5),
+    ])
+    def test_refused_before_allocating(self, monkeypatch, descriptor, lo, hi):
+        monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build_family(descriptor, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_pistar_grows_until_the_left_side_reaches(self):
+        w = build_family("pistar:m=1", -700, 3)
+        assert w.lo <= -700
+        assert w == pi_star_window(1, w.hi, 0)
+        # one step of two indices fewer would not reach
+        assert pi_star_window(1, w.hi - 2).lo > -700

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from ultraseq.errors import IndexUnderflow
 from ultraseq.reference import (
-    MemoTable,
     conway,
     conway_table,
     hofstadter_q,
@@ -54,13 +53,18 @@ class TestConway:
             assert table[2 ** k] == 2 ** (k - 1)
 
 
-class TestMemoTable:
-    def test_one_indexed_bounds(self):
-        table = MemoTable()
-        assert len(table) == 2 and table[1] == 1 and table[2] == 1
-        for bad in (0, -1, 3):
+class TestTables:
+    def test_indices_below_one_are_refused(self):
+        # a list would wrap a negative index around silently
+        for bad in (0, -1, -5):
             with pytest.raises(IndexUnderflow):
-                table[bad]
+                hofstadter_q(bad)
+            with pytest.raises(IndexUnderflow):
+                conway(bad)
+
+    def test_tables_are_one_indexed(self):
+        assert hofstadter_q_table(1)[1] == 1
+        assert conway_table(5)[1:] == CONWAY_FIRST_17[:5]
 
     def test_determinism(self):
         a = hofstadter_q_table(120)

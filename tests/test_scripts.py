@@ -1,0 +1,19 @@
+"""The scripts under ``scripts/`` run against the library as it stands."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["growth_report.py",
+                                    "reproduce_tables.py"])
+def test_script_runs(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -1,0 +1,52 @@
+"""The benchmark's tracer still sees every function it names.
+
+``perfbench/tracer.py`` looks each traced function up by name and swaps the
+module globals that hold it, so a refactor that renames one, or that calls
+it through anything but its global name, silently drops its spans from a
+``--trace 1`` run.  These tests load the tracer as it stands and check both.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ultraseq
+from ultraseq.cli import dispatch
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+COMPOSITE = "composite:left=tau:m=1,P=5,N=1,seed=1"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    # the tracer imports its sibling module ``oracle``
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_is_a_callable_of_its_layer(tracer):
+    for layer, names in tracer.TARGETS.items():
+        home = getattr(ultraseq, layer)
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{layer}.{name}"
+
+
+def test_family_construction_is_traced(tracer, capsys):
+    t = tracer.Tracer(ultraseq)
+    t.install()
+    try:
+        for family in ("pi:m=1", COMPOSITE):
+            argv = ["gen", "--family", family, "--range", "0..20"]
+            assert dispatch(argv) == 0
+        assert dispatch(["approx", "--family", COMPOSITE]) == 0
+    finally:
+        t.remove()
+    capsys.readouterr()
+    seen = {span[0] for span in t.spans}
+    for name in ("families.build_family", "families.pi_window",
+                 "families.composite_row", "families.approx_report"):
+        assert name in seen, name
