@@ -7,7 +7,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -21,7 +20,15 @@ from .families import (
     pi_closed,
     tau_enumerate,
 )
-from .seqcore import SeqWindow, from_csv, from_json, to_csv, to_json
+from .seqcore import (
+    SeqWindow,
+    from_csv,
+    from_json,
+    json_table,
+    json_text,
+    to_csv,
+    to_json,
+)
 
 USAGE_ERROR = 2
 
@@ -39,7 +46,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _render(header: Sequence[str], rows, fmt: str) -> str:
     """csv with a header row, or json as a list of objects keyed by it."""
     if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+        return json_table(header, rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -54,11 +61,12 @@ def _decimal(value: Optional[int]) -> Optional[str]:
 def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     if fmt == "csv":
         return to_csv(w, lo, hi)
+    values = w.slice(lo, hi)
     if fmt == "json":
-        return to_json(SeqWindow(lo, w.slice(lo, hi)))
+        return to_json(SeqWindow(lo, values))
     width = max(len(str(k)) for k in (lo, hi))
-    return "\n".join(f"{k:>{width}}  {w.value_at(k)}"
-                     for k in range(lo, hi + 1)) + "\n"
+    return "".join(f"{k:>{width}}  {v}\n"
+                   for k, v in zip(range(lo, hi + 1), values))
 
 
 def _command(sub, name: str, run, summary: str,
@@ -220,8 +228,7 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     configs = tau_enumerate(args.m, canonical=args.canonical)
     descriptors = [c.descriptor() for c in configs]
     if args.format == "json":
-        text = json.dumps({"count": len(descriptors),
-                           "configs": descriptors}, indent=2)
+        text = json_text({"count": len(descriptors), "configs": descriptors})
     elif args.format == "csv":
         text = _render(("descriptor",), [(d,) for d in descriptors], "csv")
     else:
@@ -254,6 +261,7 @@ def _cmd_approx(args) -> tuple[str, int]:
 def _cmd_reference(args) -> tuple[str, int]:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    seqcore.check_window_len(args.count, "table")
     if args.sequence == "q":
         table = reference.hofstadter_q_table(args.count)
     else:

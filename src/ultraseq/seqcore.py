@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -57,14 +57,25 @@ class Periodic:
     unit: tuple[int, ...]
 
     def __init__(self, unit: Iterable[int]):
-        unit = tuple(int(v) for v in unit)
+        unit = tuple(map(int, unit))
         if not unit:
             raise ValueError("periodic unit must be nonempty")
         object.__setattr__(self, "unit", unit)
+        # prefix sums of the unit; not a field, so equality, hashing and
+        # repr ignore it
+        object.__setattr__(self, "_prefix", tuple(accumulate(unit, initial=0)))
 
     @property
     def period(self) -> int:
         return len(self.unit)
+
+    def take(self, t0: int, t1: int) -> tuple[int, ...]:
+        """unit[t % period] for t in t0..t1, by one repeat and one slice."""
+        n = t1 - t0 + 1
+        if n <= 0:
+            return ()
+        r = t0 % self.period
+        return (self.unit * ((r + n) // self.period + 1))[r:r + n]
 
 
 def constant(value: int) -> Periodic:
@@ -84,7 +95,7 @@ class SeqWindow:
 
     def __init__(self, lo: int, values: Iterable[int],
                  left: ExtRule = None, right: ExtRule = None):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(int, values))
         if not values:
             raise WindowTooSmall("window must hold at least one value")
         check_window_len(len(values))
@@ -122,8 +133,25 @@ class SeqWindow:
         return list(accumulate(self.values, initial=0))
 
     def slice(self, a: int, b: int) -> list[int]:
-        """Values at positions a..b inclusive."""
-        return [self.value_at(k) for k in range(a, b + 1)]
+        """Values at positions a..b inclusive: one tuple slice of the stored
+        span, the tail positions filled from their units.  A range over the
+        cap is refused before anything is built; an undefined side raises
+        ``OutOfDomain`` at its first position in the range."""
+        if a > b:
+            return []
+        check_window_len(b - a + 1, "range")
+        lo, hi = self.lo, self.hi
+        if a < lo and self.left is None:
+            raise OutOfDomain(a)
+        if b > hi and self.right is None:
+            raise OutOfDomain(max(a, hi + 1))
+        out: list[int] = []
+        if a < lo:
+            out += self.left.take(a - lo, min(b, lo - 1) - lo)
+        out += self.values[max(a - lo, 0):max(b - lo + 1, 0)]
+        if b > hi:
+            out += self.right.take(max(a, hi + 1) - hi - 1, b - hi - 1)
+        return out
 
     def __repr__(self) -> str:
         def tail(rule):
@@ -134,22 +162,23 @@ class SeqWindow:
                 f"{shown}{more} | {tail(self.right)})")
 
 
-def _mod_range_sum(unit: tuple[int, ...], t0: int, t1: int) -> int:
-    """Sum of unit[t % p] over t in [t0, t1], in O(p) time."""
+def _mod_range_sum(rule: Periodic, t0: int, t1: int) -> int:
+    """Sum of unit[t % p] over t in [t0, t1], in O(1): with F(t) the sum
+    over [0, t), F(q*p + r) = q * F(p) + F(r), read off the unit's prefix
+    sums."""
     if t0 > t1:
         return 0
-    p = len(unit)
-    n = t1 - t0 + 1
-    full, rem = divmod(n, p)
-    total = full * sum(unit)
-    start = t0 + full * p
-    return total + sum(unit[(start + j) % p] for j in range(rem))
+    prefix, p = rule._prefix, len(rule.unit)
+    q1, r1 = divmod(t1 + 1, p)
+    q0, r0 = divmod(t0, p)
+    return (q1 - q0) * prefix[-1] + prefix[r1] - prefix[r0]
 
 
 def range_sum(w: SeqWindow, a: int, b: int) -> int:
     """Sum of values at positions a..b inclusive: O(1) big-int subtractions
-    on the prefix sums for the materialized span plus O(period) per tail,
-    however long the range is (heads can be huge)."""
+    on the prefix sums for the materialized span, and O(1) per periodic tail
+    on its unit's prefix sums, however long the range is (heads can be
+    huge)."""
     if a > b:
         return 0
     if a < w.lo and w.left is None:
@@ -158,14 +187,14 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
         raise OutOfDomain(b)
     total = 0
     if a < w.lo:
-        total += _mod_range_sum(w.left.unit, a - w.lo,
+        total += _mod_range_sum(w.left, a - w.lo,
                                 min(b, w.lo - 1) - w.lo)
     mid_a, mid_b = max(a, w.lo), min(b, w.hi)
     if mid_a <= mid_b:
         prefix = w._prefix
         total += prefix[mid_b - w.lo + 1] - prefix[mid_a - w.lo]
     if b > w.hi:
-        total += _mod_range_sum(w.right.unit, max(a, w.hi + 1) - w.hi - 1,
+        total += _mod_range_sum(w.right, max(a, w.hi + 1) - w.hi - 1,
                                 b - w.hi - 1)
     return total
 
@@ -247,6 +276,7 @@ def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
 def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     if a > b:
         raise ValueError("range must satisfy a <= b")
+    check_window_len(b - a + 1, "range")
     return CheckReport(verify_O_point(w, p) for p in range(a, b + 1))
 
 
@@ -270,7 +300,7 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     supplied = supplied or {}
     vals = list(w.values)
     prefix = list(accumulate(vals, initial=0))
-    left_unit = w.left.unit if w.left is not None else ()
+    left = w.left
     lo, hi = w.lo, w.hi
     for _ in range(steps):
         head = vals[-1]
@@ -278,13 +308,15 @@ def extend_right_by_O(w: SeqWindow, steps: int,
         if pos in supplied:
             value = int(supplied[pos])
         elif head >= 1:
-            # range_sum(hi - head + 1, hi) of the growing window: the left
-            # tail in O(period), the rest from the running prefix sums
+            # range_sum(hi - head + 1, hi) of the growing window: the running
+            # prefix sums, plus the left tail in O(1) if the range passes lo
             a = hi - head + 1
-            if a < lo and not left_unit:
+            if a >= lo:
+                value = head + prefix[-1] - prefix[a - lo]
+            elif left is None:
                 raise OutOfDomain(a)
-            value = (head + _mod_range_sum(left_unit, a - lo, -1)
-                     + prefix[-1] - prefix[max(a - lo, 0)])
+            else:
+                value = head + _mod_range_sum(left, a - lo, -1) + prefix[-1]
         elif head in (0, -1):
             value = 0
         else:
@@ -450,12 +482,92 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
     return SeqWindow(lo, vals, left=left, right=right)
 
 
+# --- JSON text ------------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def json_text(obj) -> str:
+    """Exactly the text ``json.dumps`` writes with ``indent`` 2, from
+    C-level encoder calls.
+
+    CPython runs its C encoder only when ``indent`` is None; with an indent
+    it falls back to a generator in pure Python.  So the indentation is put
+    into the item separator instead: a container whose items are all
+    scalars is one ``json.dumps`` call with the separator ``",\n" + indent``,
+    and other containers recurse.  This is exact because ``ensure_ascii``
+    escapes every control character inside a string, so an encoded scalar
+    never holds a newline: each newline in the encoder's output is one that
+    the separator put there.  ``json_table`` encodes all the cells of a
+    table in one call on the same ground.
+    """
+    out: list[str] = []
+    _json_into(out, obj, "\n")
+    return "".join(out)
+
+
+def json_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """``json_text`` of the objects that pair the distinct names in
+    ``header`` with each row's cells, without building the objects: the
+    cells from one encoder call, laid out by one ``%`` template."""
+    if not rows:
+        return "[]"
+    cells = list(chain.from_iterable(rows))
+    if (not header or len(cells) != len(header) * len(rows)
+            or not set(map(type, cells)) <= _SCALARS):
+        return json_text([dict(zip(header, row)) for row in rows])
+    row = ("{" + ",".join("\n    " + _json_key(k).replace("%", "%%") + ": %s"
+                          for k in header) + "\n  }")
+    # one cell to a line, so each newline separates two cells
+    parts = json.dumps(cells, separators=("\n", ": ")).split("\n")
+    parts[0] = parts[0][1:]
+    parts[-1] = parts[-1][:-1]
+    rest = (",\n  " + row) * (len(rows) - 1)
+    return "".join(("[\n  ", row, rest, "\n]")) % tuple(parts)
+
+
+def _json_into(out: list[str], obj, nl: str) -> None:
+    """Append ``obj``'s text to ``out``, indenting its later lines by
+    ``nl``, the newline and indent of its first."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        out.append(json.dumps(obj))
+        return
+    inner = nl + "  "
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+    elif set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        out += text[0], inner, text[1:-1], nl, text[-1]
+    elif is_dict:
+        sep = inner
+        out.append("{")
+        for k, v in obj.items():
+            out += sep, _json_key(k), ": "
+            _json_into(out, v, inner)
+            sep = "," + inner
+        out += nl, "}"
+    else:
+        sep = inner
+        out.append("[")
+        for v in obj:
+            out.append(sep)
+            _json_into(out, v, inner)
+            sep = "," + inner
+        out += nl, "]"
+
+
+def _json_key(key) -> str:
+    """A key as json writes it: a str, or a scalar turned into one."""
+    return json.dumps({key: 0})[1:-4]
+
+
 # --- serialization -----------------------------------------------------------
 
 def _rule_to_json(rule: ExtRule) -> dict:
     if rule is None:
         return {"kind": "undefined"}
-    return {"kind": "periodic", "unit": [str(v) for v in rule.unit]}
+    return {"kind": "periodic", "unit": list(map(str, rule.unit))}
 
 
 def _rule_from_json(d: dict) -> ExtRule:
@@ -471,7 +583,7 @@ def to_document(w: SeqWindow) -> dict:
     """JSON-ready document; values as decimal strings to stay bit-exact."""
     return {
         "lo": w.lo,
-        "values": [str(v) for v in w.values],
+        "values": list(map(str, w.values)),
         "left": _rule_to_json(w.left),
         "right": _rule_to_json(w.right),
     }
@@ -487,7 +599,7 @@ def from_document(d: dict) -> SeqWindow:
 
 
 def to_json(w: SeqWindow) -> str:
-    return json.dumps(to_document(w), indent=2)
+    return json_text(to_document(w))
 
 
 def from_json(text: str) -> SeqWindow:
@@ -495,17 +607,14 @@ def from_json(text: str) -> SeqWindow:
 
 
 def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> str:
-    """``index,value`` rows with header, LF line endings."""
+    """``index,value`` rows with header, LF line endings, in one join; the
+    bytes ``csv.writer`` wrote, since it never quotes an int."""
     if a is None:
         a = w.lo
     if b is None:
         b = w.hi
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "value"])
-    for k in range(a, b + 1):
-        writer.writerow([k, w.value_at(k)])
-    return buf.getvalue()
+    return "index,value\n" + "".join(
+        map("%d,%d\n".__mod__, zip(range(a, b + 1), w.slice(a, b))))
 
 
 def from_csv(text: str) -> SeqWindow:

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ultraseq import cli
 from ultraseq.cli import dispatch
-from ultraseq.seqcore import from_json
+from ultraseq.families import build_family
+from ultraseq.seqcore import from_json, to_json
 
 
 def run(capsys, *argv):
@@ -304,6 +306,66 @@ class TestFamilyDescriptors:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in \
             proc.stderr
+
+
+TAU5 = "tau:m=1,P=5,N=1"
+
+
+class TestRangeCap:
+    """An output range over the cap is refused in every format, even where
+    periodic tails could fill it, before its rows are built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", TAU5, "--format", "csv"],
+        ["gen", "--family", TAU5, "--format", "table"],
+        ["gen", "--family", TAU5, "--format", "json"],
+        ["diff", "--family", TAU5, "--format", "csv"],
+        ["diff", "--family", TAU5, "--format", "table"],
+        ["verify", "--family", TAU5, "--format", "table"],
+        ["verify", "--family", TAU5, "--format", "json"],
+        ["export", "--input", "{doc}", "--format", "csv"],
+    ])
+    def test_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
+        doc = tmp_path / "tau.json"
+        doc.write_text(to_json(build_family(TAU5, 0, 9)))
+        monkeypatch.setenv("ULTRASEQ_MAX_WINDOW", "100")
+        argv = [arg.format(doc=doc) for arg in argv] + ["--range=0..1000"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: range of 1001 values exceeds the cap")
+        # the same range under the default cap
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW")
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "" and out
+
+    def test_reference_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRASEQ_MAX_WINDOW", "100")
+        code, out, err = run(capsys, "reference", "--sequence", "q",
+                             "--count", "101", "--format", "csv")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: table of 101 values exceeds the cap")
+        code, out, _ = run(capsys, "reference", "--sequence", "q",
+                           "--count", "100", "--format", "csv")
+        assert code == 0 and out.count("\n") == 101
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", TAU5, "--range=0..100000000", "--format", "csv"],
+        ["reference", "--sequence", "conway", "--count", "100000000"],
+        ["gen", "--family", TAU5, "--range=0..2000000"],
+        ["verify", "--family", TAU5, "--range=0..2000000"],
+        ["verify", "--family", TAU5, "--range=0..2000000", "--format", "csv"],
+    ])
+    def test_refused_before_allocating(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW", raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert peak < 1_000_000
 
 
 class TestUsage:
