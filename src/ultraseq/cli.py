@@ -241,6 +241,8 @@ def _cmd_approx(args) -> tuple[str, int]:
     if family.growth_m is None:
         raise ValueError(f"family {args.family!r} has no periodic left tail "
                          "to approximate")
+    if args.rmax < 0:
+        raise ValueError("--rmax must be >= 0")
     w = family.window(0, args.base + args.rmax + 2)
     report = approx_report(w, family.growth_m, args.base, args.rmax)
     if args.format == "table":

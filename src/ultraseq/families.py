@@ -425,6 +425,8 @@ class ApproxReport:
 
 def approx_report(w: SeqWindow, m: int, base_n: int, r_max: int) -> ApproxReport:
     """Compare two-point predictions against exact values of a window."""
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
     u_n, u_n1 = w.value_at(base_n), w.value_at(base_n + 1)
     if u_n == 0:
         raise DegenerateBase(

@@ -12,11 +12,13 @@ import csv
 import io
 import json
 import math
+import operator
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     IncompatibleShape,
@@ -199,14 +201,87 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
     return total
 
 
-def o_successor(w: SeqWindow, p: int) -> int:
+def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
+    """Values at positions a..b, None at each undefined one: one ``slice``
+    of the defined part, padded on either side.  A range over the cap is
+    refused before anything is built."""
+    check_window_len(b - a + 1, "range")
+    da = max(a, w.lo) if w.left is None else a
+    db = min(b, w.hi) if w.right is None else b
+    if da > db:
+        return [None] * (b - a + 1)
+    return [None] * (da - a) + w.slice(da, db) + [None] * (b - db)
+
+
+def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     """``|u| + sum_{i<|u|} w[p - i*sign(u)]`` with u = w[p], the value the
-    self-generation equation gives p+1; a negative head reads its successors,
-    p+1 included.  Raises OutOfDomain when a summand is undefined."""
-    u = w.value_at(p)
-    if u >= 0:
-        return range_sum(w, p - u + 1, p) + u
-    return range_sum(w, p, p - u - 1) - u
+    self-generation equation gives p+1, for every p in a..b; None where the
+    head or a summand is undefined.  A negative head reads its successors,
+    p+1 included.
+
+    One loop over local variables: each sum is G(t) - G(s) over the
+    half-open summand range [s, t), where G(k) is the signed sum of the
+    values between ``lo`` and k, read off the stored span's prefix sums or,
+    past either end, off the tail unit's prefix sums in O(1) as in
+    ``_mod_range_sum``.
+    """
+    if a > b:
+        return []
+    lo, end = w.lo, w.hi + 1
+    left, right = w.left, w.right
+    prefix = w._prefix
+    total = prefix[-1]
+    if left is not None:
+        lpre, lp = left._prefix, left.period
+        ltot = lpre[-1]
+    if right is not None:
+        rpre, rp = right._prefix, right.period
+        rtot = rpre[-1]
+    out: list[Optional[int]] = []
+    append = out.append
+    for p, u in zip(range(a, b + 1), _column(w, a, b)):
+        if u is None:
+            append(None)
+            continue
+        if u >= 0:
+            s, t, c = p - u + 1, p + 1, u
+        else:
+            s, t, c = p, p - u, -u
+        # s > end only for a head in the right tail, t < lo only for one in
+        # the left tail, so only these two tests can find a summand missing
+        if s < lo:
+            if left is None:
+                append(None)
+                continue
+            q, r = divmod(s - lo, lp)
+            gs = q * ltot + lpre[r]
+        elif s <= end:
+            gs = prefix[s - lo]
+        else:
+            q, r = divmod(s - end, rp)
+            gs = total + q * rtot + rpre[r]
+        if t > end:
+            if right is None:
+                append(None)
+                continue
+            q, r = divmod(t - end, rp)
+            append(total + q * rtot + rpre[r] - gs + c)
+        elif t >= lo:
+            append(prefix[t - lo] - gs + c)
+        else:
+            q, r = divmod(t - lo, lp)
+            append(q * ltot + lpre[r] - gs + c)
+    return out
+
+
+def o_successor(w: SeqWindow, p: int) -> int:
+    """``o_successors`` at the one position p; raises OutOfDomain at the
+    undefined head or at the undefined end of the summand range."""
+    value = o_successors(w, p, p)[0]
+    if value is None:
+        u = w.value_at(p)
+        raise OutOfDomain(p - u + 1 if u >= 0 else p - u - 1)
+    return value
 
 
 # --- verification -----------------------------------------------------------
@@ -216,8 +291,10 @@ VIOLATION = "violation"
 UNCHECKABLE = "uncheckable"
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
+    """The equation at one position; a tuple, so cheap to build per
+    position."""
+
     position: int
     expected: Optional[int]
     actual: Optional[int]
@@ -231,12 +308,15 @@ class CheckReport:
     def __init__(self, entries: Iterable[CheckEntry]):
         entries = tuple(entries)
         positions = [e.position for e in entries]
-        if positions != sorted(set(positions)):
+        if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
         object.__setattr__(self, "entries", entries)
+        # counted once; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_counts",
+                           Counter(e.status for e in entries))
 
     def count(self, status: str) -> int:
-        return sum(1 for e in self.entries if e.status == status)
+        return self._counts[status]
 
     @property
     def ok_count(self) -> int:
@@ -259,25 +339,31 @@ class CheckReport:
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
-    """Check the self-generation equation at position p.
+    """Check the self-generation equation at position p."""
+    return verify_O_range(w, p, p).entries[0]
+
+
+def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
+    """Check the self-generation equation at every position a..b, from one
+    ``o_successors`` pass and one column of the values it is checked
+    against.  A position whose successor or a summand is undefined is
+    uncheckable; a range over the cap is refused before anything is built.
 
     A negative head reads its successors (including the very value being
     checked); this is an equality test, never a generation step.
     """
-    try:
-        actual = w.value_at(p + 1)
-        expected = o_successor(w, p)
-    except OutOfDomain:
-        return CheckEntry(p, None, None, UNCHECKABLE)
-    status = OK if actual == expected else VIOLATION
-    return CheckEntry(p, expected, actual, status)
-
-
-def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     if a > b:
         raise ValueError("range must satisfy a <= b")
-    check_window_len(b - a + 1, "range")
-    return CheckReport(verify_O_point(w, p) for p in range(a, b + 1))
+    entries = []
+    append = entries.append
+    for p, expected, actual in zip(range(a, b + 1), o_successors(w, a, b),
+                                   _column(w, a + 1, b + 1)):
+        if expected is None or actual is None:
+            append(CheckEntry(p, None, None, UNCHECKABLE))
+        else:
+            append(CheckEntry(p, expected, actual,
+                              OK if actual == expected else VIOLATION))
+    return CheckReport(entries)
 
 
 # --- generation --------------------------------------------------------------
@@ -411,8 +497,8 @@ def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
         if not (alpha <= reach <= beta):
             return FreeCheck(False, n, 1)
     w = SeqWindow(alpha, s)  # condition 1 keeps every summand inside
-    for n in range(alpha, beta):
-        if at(n + 1) != o_successor(w, n):
+    for n, want in enumerate(o_successors(w, alpha, beta - 1), alpha):
+        if at(n + 1) != want:
             return FreeCheck(False, n, 2)
     if at(beta) != -2:
         return FreeCheck(False, beta, 3)
@@ -592,7 +678,7 @@ def to_document(w: SeqWindow) -> dict:
 def from_document(d: dict) -> SeqWindow:
     return SeqWindow(
         int(d["lo"]),
-        (int(v) for v in d["values"]),
+        d["values"],
         left=_rule_from_json(d["left"]),
         right=_rule_from_json(d["right"]),
     )

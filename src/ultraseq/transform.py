@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainExhausted, InvalidConfig, OutOfDomain, WrongInitialCount
-from .seqcore import Periodic, SeqWindow, o_successor, sign
+from .seqcore import Periodic, SeqWindow, o_successors, range_sum, sign
 
 SlotFn = Callable[[int, int], int]
 
@@ -60,16 +60,10 @@ class GParams:
 
 # --- generic application machinery -------------------------------------------
 
-def _apply_pointwise(w: SeqWindow,
-                     compute: Callable[[int], int],
-                     out_offset: int = 1) -> SeqWindow:
-    """Build the output window of a shift-invariant pointwise transformation.
-
-    ``compute(p)`` evaluates the output value at position ``p + out_offset``
-    from ``w`` and raises OutOfDomain when a reference is missing.  Tail
-    periodicity of the output is asserted only after checking one full
-    period against the next within the computed margin.
-    """
+def _margins(w: SeqWindow) -> tuple[int, int]:
+    """The input positions a pointwise transformation evaluates: the stored
+    span, widened by 2 on an undefined side and on a periodic side by three
+    tail periods plus the tail's largest magnitude."""
     margin_l = 2
     margin_r = 2
     if w.left is not None:
@@ -78,16 +72,15 @@ def _apply_pointwise(w: SeqWindow,
     if w.right is not None:
         mag = max(abs(v) for v in w.right.unit)
         margin_r = 3 * w.right.period + mag + 4
+    return w.lo - margin_l, w.hi + margin_r
 
-    p_lo = w.lo - margin_l
-    p_hi = w.hi + margin_r
-    computed: list[Optional[int]] = []
-    for p in range(p_lo, p_hi + 1):
-        try:
-            computed.append(compute(p))
-        except OutOfDomain:
-            computed.append(None)
 
+def _assemble(w: SeqWindow, computed: list[Optional[int]], p_lo: int,
+              out_offset: int) -> SeqWindow:
+    """The output window from the values computed at input positions
+    ``p_lo, p_lo + 1, ...`` (None where a reference is missing): the
+    longest contiguous computable run, with a periodic tail asserted on a
+    side only after checking one full period against the next."""
     # longest contiguous computable run (leftmost on ties)
     best = (0, None)  # (length, start offset)
     start = None
@@ -118,25 +111,53 @@ def _apply_pointwise(w: SeqWindow,
     return SeqWindow(out_lo, vals, left=left, right=right)
 
 
+def _apply_pointwise(w: SeqWindow,
+                     compute: Callable[[int], int],
+                     out_offset: int = 1) -> SeqWindow:
+    """Build the output window of a shift-invariant pointwise transformation.
+
+    ``compute(p)`` evaluates the output value at position ``p + out_offset``
+    from ``w`` and raises OutOfDomain when a reference is missing.
+    """
+    p_lo, p_hi = _margins(w)
+    computed: list[Optional[int]] = []
+    for p in range(p_lo, p_hi + 1):
+        try:
+            computed.append(compute(p))
+        except OutOfDomain:
+            computed.append(None)
+    return _assemble(w, computed, p_lo, out_offset)
+
+
 # --- the transformations ------------------------------------------------------
 
 def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
+    """The six-slot map.  When the slot step f5*sign(u) is +1 or -1 the
+    summands form one contiguous range of positions, so a value is one
+    ``range_sum`` in O(1); other steps sum one lookup per summand."""
     def compute(p: int) -> int:
         u = w.value_at(p)
         a, b = h.f1(p, u), h.f2(p, u)
         if b < a:
             raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
         c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
-        s = sign(u)
-        return sum(c * w.value_at(p * d - i * e * s) + f for i in range(a, b))
+        step = e * sign(u)
+        base = p * d
+        if step == 1:  # indices base - a down to base - b + 1
+            return c * range_sum(w, base - b + 1, base - a) + f * (b - a)
+        if step == -1:  # indices base + a up to base + b - 1
+            return c * range_sum(w, base + a, base + b - 1) + f * (b - a)
+        return sum(c * w.value_at(base - i * step) + f for i in range(a, b))
 
     return _apply_pointwise(w, compute, out_offset=1)
 
 
 def apply_O(w: SeqWindow) -> SeqWindow:
     """The self-generation map: each output value is the one the equation
-    gives from its predecessor's position, O(period) per position."""
-    return _apply_pointwise(w, lambda p: o_successor(w, p), out_offset=1)
+    gives from its predecessor's position, all of them from one
+    ``o_successors`` pass over the margin range, O(1) per position."""
+    p_lo, p_hi = _margins(w)
+    return _assemble(w, o_successors(w, p_lo, p_hi), p_lo, 1)
 
 
 def apply_G(g: GParams, w: SeqWindow) -> SeqWindow:

@@ -209,6 +209,16 @@ class TestApproxAndReference:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rmax", ["-1", "-2"])
+    def test_negative_rmax_is_a_usage_error(self, capsys, rmax):
+        # -1 used to print an empty table, -2 to fail on an index error
+        code, out, err = run(capsys, "approx", "--family",
+                             "composite:left=tau:m=1,P=5,N=1,seed=1",
+                             "--base", "8", "--rmax", rmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--rmax" in err
+
     def test_reference_q(self, capsys):
         code, out, _ = run(capsys, "reference", "--sequence", "q",
                            "--count", "5", "--format", "csv")

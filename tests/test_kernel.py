@@ -10,7 +10,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultraseq.errors import NonDeterministic, OutOfDomain, UltraseqError
+from ultraseq import seqcore, transform
+from ultraseq.errors import (
+    InvalidConfig,
+    NonDeterministic,
+    OutOfDomain,
+    UltraseqError,
+)
 from ultraseq.families import (
     OPowerConfig,
     TauConfig,
@@ -23,6 +29,7 @@ from ultraseq.families import (
     tau_window,
 )
 from ultraseq.seqcore import (
+    CheckEntry,
     FreeCheck,
     Periodic,
     SeqWindow,
@@ -30,12 +37,19 @@ from ultraseq.seqcore import (
     extend_right_by_O,
     is_free,
     o_successor,
+    o_successors,
     partial_sums,
     range_sum,
     sign,
     verify_O_range,
 )
-from ultraseq.transform import _apply_pointwise, apply_O
+from ultraseq.transform import (
+    HParams,
+    O_SLOTS,
+    _apply_pointwise,
+    apply_H,
+    apply_O,
+)
 
 
 # --- oracles -------------------------------------------------------------------
@@ -54,6 +68,43 @@ def naive_successor(w: SeqWindow, p: int) -> int:
 
 def naive_apply_O(w: SeqWindow) -> SeqWindow:
     return _apply_pointwise(w, lambda p: naive_successor(w, p), out_offset=1)
+
+
+def naive_successors(w: SeqWindow, a: int, b: int) -> list:
+    """The per-summand successor at each of a..b, None where it raises."""
+    out = []
+    for p in range(a, b + 1):
+        try:
+            out.append(naive_successor(w, p))
+        except OutOfDomain:
+            out.append(None)
+    return out
+
+
+def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
+    """The equation at p from one lookup per summand."""
+    try:
+        actual = w.value_at(p + 1)
+        expected = naive_successor(w, p)
+    except OutOfDomain:
+        return CheckEntry(p, None, None, "uncheckable")
+    return CheckEntry(p, expected, actual,
+                      "ok" if actual == expected else "violation")
+
+
+def naive_apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
+    """The six-slot map with one lookup per summand."""
+    def compute(p: int) -> int:
+        u = w.value_at(p)
+        a, b = h.f1(p, u), h.f2(p, u)
+        if b < a:
+            raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
+        c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
+        s = sign(u)
+        return sum(c * w.value_at(p * d - i * e * s) + f
+                   for i in range(a, b))
+
+    return _apply_pointwise(w, compute, out_offset=1)
 
 
 def naive_extend(w: SeqWindow, steps: int) -> list[int]:
@@ -184,6 +235,34 @@ class TestSuccessor:
                 assert (outcome(o_successor, w, p)
                         == outcome(naive_successor, w, p)), (w, p)
 
+    @given(small_windows, st.integers(-30, 30), st.integers(-1, 40))
+    def test_range_matches_per_summand_sums(self, w, a, length):
+        b = a + length - 1
+        assert o_successors(w, a, b) == naive_successors(w, a, b)
+
+    def test_range_on_rows_and_periodic_windows(self):
+        for w in short_rows() + periodic_windows():
+            for a, b in ((w.lo - 12, w.hi + 12), (w.lo - 3, w.lo + 2),
+                         (w.hi - 2, w.hi + 5), (w.lo + 1, w.hi - 1)):
+                assert o_successors(w, a, b) == naive_successors(w, a, b), \
+                    (w, a, b)
+
+    @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
+    def test_report_matches_per_point_oracle(self, w, a, length):
+        b = a + length - 1
+        assert verify_O_range(w, a, b).entries == tuple(
+            naive_check_entry(w, p) for p in range(a, b + 1))
+
+    def test_report_on_rows_and_periodic_windows(self):
+        for w in short_rows() + periodic_windows():
+            a, b = w.lo - 12, w.hi + 12
+            report = verify_O_range(w, a, b)
+            want = [naive_check_entry(w, p) for p in range(a, b + 1)]
+            assert list(report.entries) == want, w
+            for status in ("ok", "violation", "uncheckable"):
+                assert report.count(status) == \
+                    sum(e.status == status for e in want)
+
     def test_verify_reports_the_oracle_value(self):
         w = SeqWindow(0, (1, 2, 6, -1, 0, -3, 5), left=Periodic((-2, 4)))
         for e in verify_O_range(w, -4, 8).entries:
@@ -229,6 +308,98 @@ class TestApplyOKernel:
             assert out.value_at(k) == w.value_at(k)
         assert out.value_at(w.hi + 1) == w.value_at(w.hi) + \
             w.value_at(w.hi - 1) + 2
+
+
+def _const(c):
+    return lambda p, u: c
+
+
+#: slot steps f5*sign(u) of +1, -1, 0 and +-2, with slot ranges that move
+#: with the position and head, some of them empty
+H_SLOTS = {
+    "step+1": HParams(lambda p, u: p % 3, lambda p, u: p % 3 + abs(u) % 5,
+                      _const(2), _const(1), lambda p, u: sign(u),
+                      lambda p, u: u),
+    "step-1": HParams(_const(0), lambda p, u: abs(u) % 4, lambda p, u: p,
+                      _const(1), lambda p, u: -sign(u), _const(-1)),
+    "step0": HParams(_const(1), _const(3), _const(-1), _const(1),
+                     _const(0), _const(2)),
+    "step2": HParams(_const(0), lambda p, u: abs(u) % 3, _const(1),
+                     _const(1), _const(2), _const(1)),
+    "empty": HParams(lambda p, u: u, lambda p, u: u, _const(5), _const(1),
+                     _const(1), _const(7)),
+    "O": O_SLOTS,
+}
+
+
+class TestApplyHKernel:
+    @settings(deadline=None)
+    @given(small_windows, st.sampled_from(sorted(H_SLOTS)))
+    def test_matches_per_summand_map(self, w, slots):
+        h = H_SLOTS[slots]
+        got, want = outcome(apply_H, h, w), outcome(naive_apply_H, h, w)
+        if isinstance(want, SeqWindow):
+            assert same_window(got, want)
+        else:
+            assert got is want
+
+    def test_rows_and_periodic_windows(self):
+        for w in short_rows() + periodic_windows():
+            for slots, h in H_SLOTS.items():
+                got = outcome(apply_H, h, w)
+                want = outcome(naive_apply_H, h, w)
+                if isinstance(want, SeqWindow):
+                    assert same_window(got, want), (slots, w)
+                else:
+                    assert got is want, (slots, w)
+
+    def test_inverted_slot_range_is_refused(self):
+        h = HParams(_const(1), _const(0), _const(1), _const(1), _const(1),
+                    _const(0))
+        w = SeqWindow(0, (1, 2, 5))
+        with pytest.raises(InvalidConfig):
+            apply_H(h, w)
+        with pytest.raises(InvalidConfig):
+            naive_apply_H(h, w)
+
+
+class TestLookupCounts:
+    """Clock-free pins: the read side makes O(positions) window lookups on
+    pi rows, whose heads sum to far more than the positions."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = {"n": 0}
+
+        def counting(fn):
+            def wrapper(*args):
+                counter["n"] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(SeqWindow, "value_at",
+                            counting(SeqWindow.value_at))
+        for module in (seqcore, transform):
+            monkeypatch.setattr(module, "range_sum",
+                                counting(seqcore.range_sum))
+        return counter
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_apply_H_on_a_pi_row(self, calls, m):
+        w = pi_window(m, 19)
+        p_lo, p_hi = transform._margins(w)
+        positions = p_hi - p_lo + 1
+        assert sum(map(abs, w.values)) > 1000 * positions
+        out = apply_H(O_SLOTS, w)
+        assert 0 < calls["n"] <= 3 * positions
+        assert same_window(out, apply_O(w))
+
+    def test_verify_on_a_pi_row(self, calls):
+        w = pi_window(3, 40)
+        report = verify_O_range(w, w.lo - 5, w.hi)
+        assert report.ok_count == len(w.values) + 4
+        # one pass over the range: fewer lookups than positions
+        assert calls["n"] < len(report.entries)
 
 
 # --- forward generation ------------------------------------------------------------

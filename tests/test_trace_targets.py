@@ -6,12 +6,15 @@ it through anything but its global name, silently drops its spans from a
 ``--trace 1`` run.  These tests load the tracer as it stands and check both.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import ultraseq
 from ultraseq.cli import dispatch
+from ultraseq.families import pi_window
+from ultraseq.seqcore import from_json, to_document, verify_O_range
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COMPOSITE = "composite:left=tau:m=1,P=5,N=1,seed=1"
@@ -50,3 +53,26 @@ def test_family_construction_is_traced(tracer, capsys):
     for name in ("families.build_family", "families.pi_window",
                  "families.composite_row", "families.approx_report"):
         assert name in seen, name
+
+
+def test_verify_counts_the_report_violations(tracer, capsys, tmp_path):
+    doc = to_document(pi_window(2, 30))
+    for k in (12, 20):  # two injected violations, at least
+        doc["values"][k] = str(int(doc["values"][k]) + 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--input", str(path), "--range=-3..30"]
+    t = tracer.Tracer(ultraseq)
+    t.install()
+    try:
+        assert dispatch(argv) == 1
+        t.end_op()
+    finally:
+        t.remove()
+    capsys.readouterr()
+    assert "seqcore.verify_O_range" in {span[0] for span in t.spans}
+    report = verify_O_range(from_json(path.read_text()), -3, 30)
+    assert report.violation_count >= 2
+    assert t.counts["seqcore.verify_O_range.violations"] == \
+        report.violation_count
+    assert t.counts["seqcore.verify_O_range.positions"] == 34
