@@ -225,8 +225,7 @@ def _cmd_closed_form(args) -> tuple[str, int]:
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
-    configs = tau_enumerate(args.m, canonical=args.canonical)
-    descriptors = [c.descriptor() for c in configs]
+    descriptors = tau_enumerate(args.m, canonical=args.canonical).descriptors
     if args.format == "json":
         text = json_text({"count": len(descriptors), "configs": descriptors})
     elif args.format == "csv":

@@ -7,13 +7,15 @@ two-point growth approximation model.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateBase, IdentityViolation, InvalidConfig
+from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
 from .exactmath import closed_form_affine_row, fib, lucas
 from .seqcore import (
+    MAX_WINDOW_ENV,
     Periodic,
     SeqWindow,
     breve,
@@ -22,6 +24,7 @@ from .seqcore import (
     difference,
     extend_right_by_O,
     check_window_len,
+    max_window_len,
 )
 
 
@@ -276,21 +279,94 @@ def tau_window(c: TauConfig | OPowerConfig, periods: int = 1) -> SeqWindow:
                      left=Periodic(unit), right=Periodic(unit))
 
 
-def tau_enumerate(m: int, canonical: bool = False) -> list[TauConfig]:
-    """All valid placements, sorted by unit; with ``canonical``, one
-    representative per rotation class, the least rotation of its unit.
-    A depth-first search writes the units in order with the content fixed,
-    so the cost grows with the output; ``canonical`` adds the
-    Fredricksen-Kessler-Maiorana prenecklace rule a[t] >= a[t-p] and emits
-    only the prenecklaces whose p divides the period."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+class Placements(abc.Sequence):
+    """Read-only tau placements, held as their ``descriptors``; each item is
+    the validated ``TauConfig`` its descriptor parses to, built when read."""
+
+    __slots__ = ("descriptors",)
+
+    def __init__(self, descriptors):
+        self.descriptors: tuple[str, ...] = tuple(descriptors)
+
+    def __len__(self) -> int:
+        return len(self.descriptors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Placements(self.descriptors[i])
+        return parse_family(self.descriptors[i]).config
+
+    def __iter__(self):
+        return (parse_family(d).config for d in self.descriptors)
+
+
+def _check_enumeration_size(m: int, canonical: bool) -> None:
+    """Refuse an m whose output passes the window cap: count placements of
+    4m+2 values each, and about count values with ``canonical`` (the
+    classes number about count/(4m+2)).  The output grows with m, so k runs
+    up from 1 and stops at the first size over the cap, after O(log cap)
+    small binomials however large m is."""
+    cap = max_window_len()
+    for k in range(1, m + 1):
+        size = (2 * k + 1) ** 2 * math.comb(2 * k, k)
+        if size * (1 if canonical else 4 * k + 2) > cap:
+            raise TooLarge(f"the m={m} enumeration outputs more than the cap "
+                           f"of {cap} values; raise {MAX_WINDOW_ENV} to "
+                           "override")
+
+
+def _halves(m: int, first: int) -> list[tuple]:
+    """Every half unit over the 2m+1 slots from ``first``, in unit order:
+    no two placements adjacent and at most m of each sign.  Each half is
+    (positives, negatives, starts on a placement, ends on one, P, N), with
+    P and N its slots of each sign as ``;``-joined text."""
+    halves = [(0, 0, False, False, (), ())]
+    for slot in range(first, first + 2 * m + 1):
+        opening, name = slot == first, str(slot)
+        grown = []
+        for pos, neg, starts, ends, p, n in halves:
+            if not ends and neg < m:
+                grown.append((pos, neg + 1, starts or opening, True,
+                              p, n + (name,)))
+            grown.append((pos, neg, starts, False, p, n))
+            if not ends and pos < m:
+                grown.append((pos + 1, neg, starts or opening, True,
+                              p + (name,), n))
+        halves = grown
+    return [(*h[:4], ";".join(h[4]), ";".join(h[5])) for h in halves]
+
+
+def _plain_descriptors(m: int) -> list[str]:
+    """Every placement, in unit order, by joining a left half (slots
+    1..2m+1) to each right half that completes its counts and places
+    nothing next to it, at the join or across the wrap.  The left half is
+    the more significant, so taking the lefts in order and each one's
+    rights in order writes the units in order, at one f-string each."""
+    accepting = {}  # (positives, negatives, left starts, left ends) -> [(P, N)]
+    for pos, neg, starts, ends, p, n in _halves(m, 2 * m + 2):
+        # a right half that ends on a placement takes only lefts that do not
+        # start on one (the wrap), and one that starts on a placement only
+        # lefts that do not end on one (the join)
+        for left_starts in (False,) if ends else (False, True):
+            for left_ends in (False,) if starts else (False, True):
+                accepting.setdefault((pos, neg, left_starts, left_ends),
+                                     []).append((p, n))
+    out = []
+    for pos, neg, starts, ends, p, n in _halves(m, 1):
+        rights = accepting.get((m - pos, m - neg, starts, ends), ())
+        # a ';' only between two nonempty sides
+        head = f"tau:m={m},P={p}{';' if 0 < pos < m else ''}"
+        mid = f",N={n}{';' if 0 < neg < m else ''}"
+        out += [f"{head}{rp}{mid}{rn}" for rp, rn in rights]
+    return out
+
+
+def _canonical_descriptors(m: int) -> list[str]:
+    """One placement per rotation class, the least rotation of its unit: a
+    depth-first search writes the units in order with the content fixed
+    and the Fredricksen-Kessler-Maiorana prenecklace rule a[t] >= a[t-p],
+    and emits the prenecklaces whose p divides the period."""
     period = 4 * m + 2
-    # count placements of period values each; the rotation classes number
-    # about count/period, so the canonical output is about count values
-    count = (2 * m + 1) ** 2 * math.comb(2 * m, m)
-    check_window_len(count * (1 if canonical else period),
-                     f"the m={m} enumeration, an output")
     symbols = (-period, -2, period)
     left = dict(zip(symbols, (m, 2 * m + 2, m)))
     placed = {v: [] for v in symbols}  # the 1-based positions of each value
@@ -306,10 +382,11 @@ def tau_enumerate(m: int, canonical: bool = False) -> list[TauConfig]:
                 > left[-2] + (unit[0] == -2)):
             return
         if t == period:
-            if not canonical or period % p == 0:
-                out.append(TauConfig(m, placed[period], placed[-period]))
+            if period % p == 0:
+                out.append(f"tau:m={m},P={';'.join(map(str, placed[period]))}"
+                           f",N={';'.join(map(str, placed[-period]))}")
             return
-        floor = unit[t - p] if canonical and t else -period
+        floor = unit[t - p] if t else -period
         for v in symbols:
             if v < floor or not left[v] or (v != -2 and prev != -2):
                 continue
@@ -323,6 +400,23 @@ def tau_enumerate(m: int, canonical: bool = False) -> list[TauConfig]:
     extend(0, 1)
     del extend  # it refers to itself: free it without the cycle collector
     return out
+
+
+def tau_enumerate(m: int, canonical: bool = False) -> Placements:
+    """All valid placements, sorted by unit; with ``canonical``, one
+    representative per rotation class, the least rotation of its unit.
+
+    Plain placements join precomputed half units (``_plain_descriptors``),
+    so after O(halves) set-up each costs one string join; ``canonical``
+    runs a necklace search (``_canonical_descriptors``).  Each placement is
+    written as its descriptor once; ``TauConfig`` objects are built only
+    when items of the returned ``Placements`` are read.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    _check_enumeration_size(m, canonical)
+    return Placements(_canonical_descriptors(m) if canonical
+                      else _plain_descriptors(m))
 
 
 # --- the omega sequence ---------------------------------------------------------

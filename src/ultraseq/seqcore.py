@@ -656,12 +656,22 @@ def _rule_to_json(rule: ExtRule) -> dict:
     return {"kind": "periodic", "unit": list(map(str, rule.unit))}
 
 
+def _int_items(d: dict, key: str) -> list:
+    """``d[key]``, checked to be a list of decimal strings or JSON integers;
+    the item types are checked at C level, with no loop per item."""
+    items = d.get(key)
+    if type(items) is not list or not set(map(type, items)) <= {str, int}:
+        raise ValueError(f"{key!r} must be a list of decimal strings or "
+                         "integers")
+    return items
+
+
 def _rule_from_json(d: dict) -> ExtRule:
-    kind = d.get("kind")
+    kind = d.get("kind") if type(d) is dict else None
     if kind == "undefined":
         return None
     if kind == "periodic":
-        return Periodic(int(v) for v in d["unit"])
+        return Periodic(_int_items(d, "unit"))
     raise ValueError(f"unknown extension rule kind: {kind!r}")
 
 
@@ -676,11 +686,19 @@ def to_document(w: SeqWindow) -> dict:
 
 
 def from_document(d: dict) -> SeqWindow:
+    """The window a document describes; a document that is not an object
+    with an integer ``lo``, a ``values`` list and two extension rules
+    raises ValueError."""
+    if type(d) is not dict:
+        raise ValueError("a sequence document must be a JSON object, got "
+                         f"{type(d).__name__}")
+    if type(d.get("lo")) is not int:
+        raise ValueError(f"'lo' must be an integer, got {d.get('lo')!r}")
     return SeqWindow(
-        int(d["lo"]),
-        d["values"],
-        left=_rule_from_json(d["left"]),
-        right=_rule_from_json(d["right"]),
+        d["lo"],
+        _int_items(d, "values"),
+        left=_rule_from_json(d.get("left")),
+        right=_rule_from_json(d.get("right")),
     )
 
 

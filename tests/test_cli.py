@@ -120,6 +120,45 @@ class TestVerify:
         code, _, _ = run(capsys, *verify, "--strict")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--range", "0..1"], ["export", "--format", "csv"]])
+    @pytest.mark.parametrize("doc", [
+        {"values": "125"},          # a string is not a list of values
+        {"values": 5},
+        {"values": None},
+        {"values": ["1", 3.7]},     # floats would be truncated
+        {"values": ["1", True]},    # so would bools
+        {"values": [["1"]]},
+        {"lo": 0.5},
+        {"lo": True},
+        {"lo": "0"},
+        {"left": {"kind": "periodic", "unit": "12"}},
+        {"right": {"kind": "periodic", "unit": [-2.0]}},
+        {"right": "periodic"},
+        [["1", "2", "5"]],          # not an object
+    ])
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path,
+                                                  command, doc):
+        if isinstance(doc, dict):
+            doc = {"lo": 0, "values": ["1", "2", "5"],
+                   "left": {"kind": "undefined"},
+                   "right": {"kind": "undefined"}, **doc}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_document_values_may_be_json_integers(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({
+            "lo": 0, "values": [1, "2", 5],
+            "left": {"kind": "undefined"},
+            "right": {"kind": "periodic", "unit": [-2, "-2"]}}))
+        code, out, _ = run(capsys, "verify", "--input", str(path),
+                           "--range", "0..1")
+        assert code == 0 and out.startswith("2 ok, 0 violations")
+
     def test_family_and_input_are_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--family", "pi:m=1",
                            "--input", str(tmp_path / "x.json"),
@@ -175,6 +214,14 @@ class TestEnumerate:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "--m", "9")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("m", ["1000", "100000", "1000000"])
+    def test_guard_names_m_and_the_cap(self, capsys, monkeypatch, m):
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW", raising=False)
+        code, out, err = run(capsys, "enumerate", "--m", m)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error: the m={m} enumeration outputs more "
+                              "than the cap of 1000000 values")
 
 
 class TestApproxAndReference:

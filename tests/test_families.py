@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultraseq import families
+from ultraseq.cli import dispatch
 from ultraseq.errors import (
     DegenerateBase,
     IdentityViolation,
@@ -19,6 +21,7 @@ from ultraseq.errors import (
 from ultraseq.exactmath import fib, lucas
 from ultraseq.families import (
     OPowerConfig,
+    Placements,
     TauConfig,
     approx_predict,
     approx_report,
@@ -286,14 +289,80 @@ class TestTauFamily:
                             TauConfig(m, pos, neg)
 
     def test_counts_match_closed_forms(self, monkeypatch):
+        # with every item a valid placement and the units strictly
+        # increasing, the right count means exactly the full set, in order;
+        # canonical items must also be their own least rotations
         monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
         classes = [3, 16, 70, 318, 1386, 6016, 25740]
         for m in range(1, 8):
             assert _burnside_classes(m) == classes[m - 1]
+            runs = [(True, classes[m - 1])]
             if m <= 5:
-                assert len(tau_enumerate(m)) == \
-                    (2 * m + 1) ** 2 * math.comb(2 * m, m)
-            assert len(tau_enumerate(m, canonical=True)) == classes[m - 1]
+                runs.append((False, (2 * m + 1) ** 2 * math.comb(2 * m, m)))
+            for canonical, count in runs:
+                got = tau_enumerate(m, canonical)
+                assert len(got) == count
+                units = [c.unit() for c in got]  # each parsed and validated
+                assert all(a < b for a, b in zip(units, units[1:]))
+                if canonical:
+                    assert all(u == min(u[t:] + u[:t] for t in range(len(u)))
+                               for u in units)
+
+    def test_placements_read_as_validated_configs(self):
+        got = tau_enumerate(2)
+        assert isinstance(got, Placements) and len(got) == 150
+        assert len(got.descriptors) == 150
+        configs = list(got)
+        assert all(isinstance(c, TauConfig) for c in configs)
+        assert [c.descriptor() for c in configs] == list(got.descriptors)
+        for i in (0, 1, 77, 149, -1, -150):
+            assert got[i] == configs[i]
+            assert got.descriptors[i] == got[i].descriptor()
+        for i in (150, -151):
+            with pytest.raises(IndexError):
+                got[i]
+        for cut in (slice(3, 9), slice(None, None, 7), slice(-5, None),
+                    slice(9, 3)):
+            part = got[cut]
+            assert isinstance(part, Placements)
+            assert list(part) == configs[cut]
+        assert got.index(configs[5]) == 5 and configs[5] in got
+        assert list(reversed(got)) == configs[::-1]
+        with pytest.raises(TypeError):
+            got[0] = configs[1]
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_cli_builds_no_configs(self, capsys, monkeypatch, canonical,
+                                   fmt):
+        argv = ["enumerate", "--m", "4", "--format", fmt]
+        argv += ["--canonical"] * canonical
+        assert dispatch(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a TauConfig was built")
+
+        monkeypatch.setattr(TauConfig, "__init__", refuse)
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(RuntimeError):
+            tau_enumerate(1)[0]
+
+    def test_huge_m_is_refused_with_small_binomials(self, monkeypatch):
+        monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
+        calls = []
+        comb = families.math.comb
+
+        def counted(n, k):
+            calls.append(n)
+            return comb(n, k)
+
+        monkeypatch.setattr(families.math, "comb", counted)
+        for canonical in (False, True):
+            with pytest.raises(TooLarge, match=r"m=1000000 .* 1000000 "):
+                tau_enumerate(10 ** 6, canonical)
+        assert calls and max(calls) <= 100
 
     def test_enumeration_leaves_no_cyclic_garbage(self):
         gc.collect()

@@ -76,3 +76,20 @@ def test_verify_counts_the_report_violations(tracer, capsys, tmp_path):
     assert t.counts["seqcore.verify_O_range.violations"] == \
         report.violation_count
     assert t.counts["seqcore.verify_O_range.positions"] == 34
+
+
+def test_enumerate_counts_configs_and_classes(tracer, capsys):
+    t = tracer.Tracer(ultraseq)
+    t.install()
+    try:
+        for extra in ([], ["--canonical"]):
+            before = len(t.spans)
+            assert dispatch(["enumerate", "--m", "2", *extra]) == 0
+            assert "families.tau_enumerate" in {
+                span[0] for span in t.spans[before:]}
+            t.end_op()
+    finally:
+        t.remove()
+    capsys.readouterr()
+    assert t.counts["families.tau_enumerate.configs"] == 150
+    assert t.counts["families.tau_enumerate_canonical.classes"] == 16
