@@ -15,6 +15,7 @@ import math
 import operator
 import os
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -164,41 +165,53 @@ class SeqWindow:
                 f"{shown}{more} | {tail(self.right)})")
 
 
-def _mod_range_sum(rule: Periodic, t0: int, t1: int) -> int:
-    """Sum of unit[t % p] over t in [t0, t1], in O(1): with F(t) the sum
-    over [0, t), F(q*p + r) = q * F(p) + F(r), read off the unit's prefix
-    sums."""
-    if t0 > t1:
-        return 0
-    prefix, p = rule._prefix, len(rule.unit)
-    q1, r1 = divmod(t1 + 1, p)
-    q0, r0 = divmod(t0, p)
-    return (q1 - q0) * prefix[-1] + prefix[r1] - prefix[r0]
+def _signed_prefix(lo: int, prefix: list[int], left: ExtRule,
+                   right: ExtRule) -> Callable[[int], int]:
+    """G(k), the signed sum of the values between ``lo`` and k: the sum over
+    [lo, k) for k >= lo and minus the sum over [k, lo) for k < lo, so that
+    the sum over [s, t) is G(t) - G(s) wherever it lies.  Inside the span G
+    reads ``prefix``, the span's prefix sums, which may grow in place.  Past
+    either end it is O(1) on the tail unit's prefix sums: with F(t) the sum
+    of unit[j % p] over [0, t) (minus the sum over [t, 0) for t < 0),
+    F(q*p + r) = q * F(p) + F(r), and the left tail is counted from ``lo``,
+    the right one from the span's end.  An undefined side raises
+    ``OutOfDomain`` at the far end of the range G would sum."""
+    if left is not None:
+        lpre, lp = left._prefix, left.period
+        ltot = lpre[-1]
+    if right is not None:
+        rpre, rp = right._prefix, right.period
+        rtot = rpre[-1]
+
+    def G(k: int) -> int:
+        i = k - lo
+        if i < 0:
+            if left is None:
+                raise OutOfDomain(k)
+            q, r = divmod(i, lp)
+            return q * ltot + lpre[r]
+        n = len(prefix)
+        if i < n:
+            return prefix[i]
+        if right is None:
+            raise OutOfDomain(k - 1)
+        q, r = divmod(i - n + 1, rp)
+        return prefix[-1] + q * rtot + rpre[r]
+
+    return G
 
 
 def range_sum(w: SeqWindow, a: int, b: int) -> int:
-    """Sum of values at positions a..b inclusive: O(1) big-int subtractions
-    on the prefix sums for the materialized span, and O(1) per periodic tail
-    on its unit's prefix sums, however long the range is (heads can be
-    huge)."""
+    """Sum of values at positions a..b inclusive, G(b + 1) - G(a): O(1)
+    big-int operations however long the range is (heads can be huge)."""
     if a > b:
         return 0
     if a < w.lo and w.left is None:
         raise OutOfDomain(a)
     if b > w.hi and w.right is None:
         raise OutOfDomain(b)
-    total = 0
-    if a < w.lo:
-        total += _mod_range_sum(w.left, a - w.lo,
-                                min(b, w.lo - 1) - w.lo)
-    mid_a, mid_b = max(a, w.lo), min(b, w.hi)
-    if mid_a <= mid_b:
-        prefix = w._prefix
-        total += prefix[mid_b - w.lo + 1] - prefix[mid_a - w.lo]
-    if b > w.hi:
-        total += _mod_range_sum(w.right, max(a, w.hi + 1) - w.hi - 1,
-                                b - w.hi - 1)
-    return total
+    G = _signed_prefix(w.lo, w._prefix, w.left, w.right)
+    return G(b + 1) - G(a)
 
 
 def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
@@ -219,24 +232,15 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     head or a summand is undefined.  A negative head reads its successors,
     p+1 included.
 
-    One loop over local variables: each sum is G(t) - G(s) over the
-    half-open summand range [s, t), where G(k) is the signed sum of the
-    values between ``lo`` and k, read off the stored span's prefix sums or,
-    past either end, off the tail unit's prefix sums in O(1) as in
-    ``_mod_range_sum``.
+    One loop: each sum is G(t) - G(s) over the half-open summand range
+    [s, t), with G the window's signed prefix sum (``_signed_prefix``); an
+    end inside the stored span reads its prefix sums directly.
     """
     if a > b:
         return []
     lo, end = w.lo, w.hi + 1
-    left, right = w.left, w.right
     prefix = w._prefix
-    total = prefix[-1]
-    if left is not None:
-        lpre, lp = left._prefix, left.period
-        ltot = lpre[-1]
-    if right is not None:
-        rpre, rp = right._prefix, right.period
-        rtot = rpre[-1]
+    G = _signed_prefix(lo, prefix, w.left, w.right)
     out: list[Optional[int]] = []
     append = out.append
     for p, u in zip(range(a, b + 1), _column(w, a, b)):
@@ -247,30 +251,13 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
             s, t, c = p - u + 1, p + 1, u
         else:
             s, t, c = p, p - u, -u
-        # s > end only for a head in the right tail, t < lo only for one in
-        # the left tail, so only these two tests can find a summand missing
-        if s < lo:
-            if left is None:
-                append(None)
-                continue
-            q, r = divmod(s - lo, lp)
-            gs = q * ltot + lpre[r]
-        elif s <= end:
-            gs = prefix[s - lo]
-        else:
-            q, r = divmod(s - end, rp)
-            gs = total + q * rtot + rpre[r]
-        if t > end:
-            if right is None:
-                append(None)
-                continue
-            q, r = divmod(t - end, rp)
-            append(total + q * rtot + rpre[r] - gs + c)
-        elif t >= lo:
-            append(prefix[t - lo] - gs + c)
-        else:
-            q, r = divmod(t - lo, lp)
-            append(q * ltot + lpre[r] - gs + c)
+        try:
+            gt = prefix[t - lo] if lo <= t <= end else G(t)
+            gs = prefix[s - lo] if lo <= s <= end else G(s)
+        except OutOfDomain:
+            append(None)
+            continue
+        append(gt - gs + c)
     return out
 
 
@@ -386,31 +373,23 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     supplied = supplied or {}
     vals = list(w.values)
     prefix = list(accumulate(vals, initial=0))
-    left = w.left
-    lo, hi = w.lo, w.hi
+    G = _signed_prefix(w.lo, prefix, w.left, None)  # sees each append
+    hi = w.hi
     for _ in range(steps):
         head = vals[-1]
         pos = hi + 1
         if pos in supplied:
             value = int(supplied[pos])
-        elif head >= 1:
-            # range_sum(hi - head + 1, hi) of the growing window: the running
-            # prefix sums, plus the left tail in O(1) if the range passes lo
-            a = hi - head + 1
-            if a >= lo:
-                value = head + prefix[-1] - prefix[a - lo]
-            elif left is None:
-                raise OutOfDomain(a)
-            else:
-                value = head + _mod_range_sum(left, a - lo, -1) + prefix[-1]
-        elif head in (0, -1):
-            value = 0
+        elif head >= -1:
+            # the equation at hi; heads 0 and -1 both give 0
+            n = abs(head)
+            value = G(pos) - G(pos - n) + n
         else:
             raise NonDeterministic(hi, head)
         vals.append(value)
         prefix.append(prefix[-1] + value)
         hi += 1
-    return SeqWindow(lo, vals, left=w.left, right=None)
+    return SeqWindow(w.lo, vals, left=w.left, right=None)
 
 
 # --- differences and sums ----------------------------------------------------
@@ -656,13 +635,31 @@ def _rule_to_json(rule: ExtRule) -> dict:
     return {"kind": "periodic", "unit": list(map(str, rule.unit))}
 
 
+# the ASCII characters ``int`` reads besides digits and "-"
+_NOT_DECIMAL = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "_", "+")
+
+
+def _check_decimal(items: list, what: str) -> None:
+    """Refuse items whose text is not ASCII ``-?[0-9]+`` but which ``int``
+    would read (``"1_0"``, ``" 2 "``, ``"+5"``, non-ASCII digits), by
+    C-level scans of one join; ``int`` refuses every other text."""
+    try:
+        text = "".join(items)
+    except TypeError:  # JSON integers among the strings
+        text = "".join(map(str, items))
+    if not text.isascii() or any(c in text for c in _NOT_DECIMAL):
+        raise ValueError(f"{what} must be decimal integers: ASCII digits "
+                         "after an optional '-'")
+
+
 def _int_items(d: dict, key: str) -> list:
     """``d[key]``, checked to be a list of decimal strings or JSON integers;
-    the item types are checked at C level, with no loop per item."""
+    the items are checked at C level, with no loop per item."""
     items = d.get(key)
     if type(items) is not list or not set(map(type, items)) <= {str, int}:
         raise ValueError(f"{key!r} must be a list of decimal strings or "
                          "integers")
+    _check_decimal(items, repr(key))
     return items
 
 
@@ -726,7 +723,9 @@ def from_csv(text: str) -> SeqWindow:
     header = next(reader, None)
     if header != ["index", "value"]:
         raise ValueError("expected 'index,value' header")
-    rows = [(int(idx), int(val)) for idx, val in reader]
+    fields = list(reader)
+    _check_decimal(list(chain.from_iterable(fields)), "indices and values")
+    rows = [(int(idx), int(val)) for idx, val in fields]
     if not rows:
         raise ValueError("no data rows")
     indices = [i for i, _ in rows]

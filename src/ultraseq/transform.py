@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainExhausted, InvalidConfig, OutOfDomain, WrongInitialCount
-from .seqcore import Periodic, SeqWindow, o_successors, range_sum, sign
+from .seqcore import (
+    Periodic,
+    SeqWindow,
+    check_window_len,
+    o_successors,
+    range_sum,
+    sign,
+)
 
 SlotFn = Callable[[int, int], int]
 
@@ -63,7 +70,8 @@ class GParams:
 def _margins(w: SeqWindow) -> tuple[int, int]:
     """The input positions a pointwise transformation evaluates: the stored
     span, widened by 2 on an undefined side and on a periodic side by three
-    tail periods plus the tail's largest magnitude."""
+    tail periods plus the tail's largest magnitude.  A range over the cap is
+    refused here, before any transformation evaluates a position of it."""
     margin_l = 2
     margin_r = 2
     if w.left is not None:
@@ -72,7 +80,9 @@ def _margins(w: SeqWindow) -> tuple[int, int]:
     if w.right is not None:
         mag = max(abs(v) for v in w.right.unit)
         margin_r = 3 * w.right.period + mag + 4
-    return w.lo - margin_l, w.hi + margin_r
+    p_lo, p_hi = w.lo - margin_l, w.hi + margin_r
+    check_window_len(p_hi - p_lo + 1, "range")
+    return p_lo, p_hi
 
 
 def _assemble(w: SeqWindow, computed: list[Optional[int]], p_lo: int,

@@ -136,6 +136,11 @@ class TestVerify:
         {"right": {"kind": "periodic", "unit": [-2.0]}},
         {"right": "periodic"},
         [["1", "2", "5"]],          # not an object
+        {"values": ["1_0", "2"]},   # int() reads each of these
+        {"values": [" 2 ", "5"]},
+        {"values": ["+5"]},
+        {"values": ["5", "\u0661"]},
+        {"left": {"kind": "periodic", "unit": ["-2\n"]}},
     ])
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path,
                                                   command, doc):
@@ -145,6 +150,19 @@ class TestVerify:
                    "right": {"kind": "undefined"}, **doc}
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--range", "0..1"], ["export", "--format", "json"]])
+    @pytest.mark.parametrize("rows", [
+        "0,1_0\n1,2\n", "0, 1\n1,2\n", "+0,1\n1,2\n", "0,1\n1,\u0662\n",
+        "0,1\n1,2 \n"])
+    def test_csv_values_and_indices_must_be_decimal(self, capsys, tmp_path,
+                                                    command, rows):
+        path = tmp_path / "row.csv"
+        path.write_text("index,value\n" + rows, encoding="utf-8")
         code, out, err = run(capsys, *command, "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1

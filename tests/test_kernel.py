@@ -6,6 +6,7 @@ per summand, no prefix sums.  They cost O(|head|) per position, so on pi
 rows they only reach short windows.
 """
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,15 @@ class TestRangeSum:
         assert [f.name for f in dataclasses.fields(a)] == \
             ["lo", "values", "left", "right"]
 
+    def test_window_pickles_after_its_caches_fill(self):
+        w = pi_window(2, 12)
+        assert range_sum(w, -5, 10) == naive_range_sum(w, -5, 10)
+        assert verify_O_range(w, w.lo, w.hi - 1).all_ok
+        apply_O(w)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and same_window(back, w)
+        assert range_sum(back, -5, 10) == range_sum(w, -5, 10)
+
 
 # --- the equation: verification and apply_O ------------------------------------------
 
@@ -400,6 +410,49 @@ class TestLookupCounts:
         assert report.ok_count == len(w.values) + 4
         # one pass over the range: fewer lookups than positions
         assert calls["n"] < len(report.entries)
+
+
+class TestOneTailReader:
+    """Clock-free pins: every sum that reaches a periodic tail is read off
+    the one signed prefix sum ``_signed_prefix`` builds."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counter = {"builds": 0, "reads": 0}
+        build = seqcore._signed_prefix
+
+        def counting(*args):
+            counter["builds"] += 1
+            G = build(*args)
+
+            def counted(k):
+                counter["reads"] += 1
+                return G(k)
+            return counted
+
+        monkeypatch.setattr(seqcore, "_signed_prefix", counting)
+        return counter
+
+    def test_range_sum(self, reads):
+        w = SeqWindow(0, (1, -2, 3), left=Periodic((4, 5)),
+                      right=Periodic((-6,)))
+        assert range_sum(w, -7, 9) == naive_range_sum(w, -7, 9)
+        assert reads == {"builds": 1, "reads": 2}
+
+    def test_o_successors_on_heads_that_reach_the_left_tail(self, reads):
+        w = pi_window(3, 12)
+        reads.update(builds=0, reads=0)
+        # each head from 2 on sums back past lo into the constant tail, and
+        # its summand range ends inside the span
+        assert all(w.value_at(p) > p - w.lo + 1 for p in range(2, 12))
+        assert o_successors(w, 2, 11) == [w.value_at(p) for p in range(3, 13)]
+        assert reads == {"builds": 1, "reads": 10}
+
+    def test_extend_right_by_O_on_a_pi_seed(self, reads):
+        seed = SeqWindow(0, (3,), left=constant(-2))
+        out = extend_right_by_O(seed, 12)
+        assert list(out.values) == naive_extend(seed, 12)
+        assert reads == {"builds": 1, "reads": 24}
 
 
 # --- forward generation ------------------------------------------------------------

@@ -17,9 +17,9 @@ from ultraseq.errors import OutOfDomain
 from ultraseq.seqcore import (
     Periodic,
     SeqWindow,
-    _mod_range_sum,
     json_table,
     json_text,
+    range_sum,
     to_csv,
 )
 
@@ -167,24 +167,31 @@ class TestRows:
 
 
 class TestTailSum:
+    """``range_sum`` on a window that holds unit[k % p] at every k, so each
+    range reaches into both tails, or stays in one, at any magnitude."""
+
+    @staticmethod
+    def tail_sum(unit, t0, t1):
+        rule = Periodic(unit)
+        return range_sum(SeqWindow(0, unit, left=rule, right=rule), t0, t1)
+
     @given(units, st.integers(-10 ** 40, 10 ** 40), st.integers(0, 10 ** 40))
     def test_matches_the_period_loop(self, unit, t0, length):
         p = len(unit)
-        rule = Periodic(unit)
         # every residue of both ends near the drawn range
         for d0 in range(p):
             for d1 in range(p):
                 s, e = t0 + d0, t0 + length + d1
-                assert (_mod_range_sum(rule, s, e)
+                assert (self.tail_sum(unit, s, e)
                         == period_loop_sum(unit, s, e)), (s, e)
 
     @given(units, st.integers(-60, 60), st.integers(-1, 40))
     def test_matches_the_per_position_sum(self, unit, t0, length):
         t1 = t0 + length - 1
-        assert _mod_range_sum(Periodic(unit), t0, t1) == sum(
+        assert self.tail_sum(unit, t0, t1) == sum(
             unit[t % len(unit)] for t in range(t0, t1 + 1))
 
     def test_prefix_sums_are_not_part_of_the_value(self):
         a, b = Periodic((1, -2, 3)), Periodic([1, -2, 3])
-        assert _mod_range_sum(a, 0, 5) == 4
+        assert self.tail_sum(a.unit, 0, 5) == 4
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

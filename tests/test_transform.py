@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultraseq.errors import DomainExhausted, WrongInitialCount
+from ultraseq.errors import DomainExhausted, TooLarge, WrongInitialCount
 from ultraseq.families import (
     OPowerConfig,
     TauConfig,
@@ -147,6 +147,24 @@ class TestRecurrenceExtension:
         out = iterate(lambda x: apply_G(g, x), 2, w)
         assert all(out.value_at(k) == w.value_at(k)
                    for k in _common_range(out, w))
+
+
+class TestMarginGuard:
+    @pytest.mark.parametrize("transform", [
+        apply_O, lambda w: apply_H(O_SLOTS, w),
+        lambda w: apply_G(GParams(1, 1), w)],
+        ids=["apply_O", "apply_H", "apply_G"])
+    def test_margin_range_over_the_cap_is_refused_first(self, monkeypatch,
+                                                          transform):
+        # a tail magnitude of 3M widens the margin range past the cap
+        w = SeqWindow(0, (1, 2), left=Periodic((-3_000_000,)))
+
+        def no_lookup(self, k):
+            raise AssertionError("a position was evaluated")
+
+        monkeypatch.setattr(SeqWindow, "value_at", no_lookup)
+        with pytest.raises(TooLarge, match="3000011"):
+            transform(w)
 
 
 class TestIterateAndEquality:
