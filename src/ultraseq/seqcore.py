@@ -22,6 +22,7 @@ from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    DomainExhausted,
     IncompatibleShape,
     NonDeterministic,
     NotPeriodic,
@@ -226,6 +227,63 @@ def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     return [None] * (da - a) + w.slice(da, db) + [None] * (b - db)
 
 
+# --- shift-invariant maps ----------------------------------------------------
+
+def _margins(w: SeqWindow, reach: Optional[int] = None) -> tuple[int, int]:
+    """The input positions a shift-invariant map evaluates: the stored span
+    and, on a periodic side, ``reach + 2 * period + 1`` more, where ``reach``
+    bounds how far a value reads from its position (by default the tail's
+    largest magnitude, the reach of O's summands); so the two outermost
+    periods read only the tail.  An undefined side adds none, as every map
+    reads its own position, so the whole range is defined."""
+    def margin(rule: ExtRule) -> int:
+        if rule is None:
+            return 0
+        r = max(map(abs, rule.unit)) if reach is None else reach
+        return r + 2 * rule.period + 1
+
+    return w.lo - margin(w.left), w.hi + margin(w.right)
+
+
+def _assemble(w: SeqWindow, col: list[Optional[int]], a: int,
+              out_offset: int) -> SeqWindow:
+    """The output window of a shift-invariant map from ``col``, its values at
+    input positions a, a + 1, ... (None where undefined), each landing
+    ``out_offset`` further right.  The output keeps the run of ``col`` that
+    reaches a periodic side of ``w``, else the longest (leftmost on ties),
+    found by one C-level ``index`` scan per None.  Where the run reaches a
+    periodic side, its two outermost periods are compared and, if equal, the
+    inner one becomes the tail; the output stores no copy of its tails."""
+    n = len(col)
+    runs, i = [], 0
+    while i < n:
+        try:
+            j = col.index(None, i)
+        except ValueError:
+            j = n
+        if j > i:
+            runs.append((i, j))
+        i = j + 1
+    if not runs:
+        raise DomainExhausted("no computable output positions")
+    start, end = max(runs, key=lambda r: (
+        r[0] == 0 and w.left is not None or r[1] == n and w.right is not None,
+        r[1] - r[0]))
+    left = right = None
+    if w.left is not None and start == 0:
+        p = w.left.period
+        if end > 2 * p and col[:p] == col[p:2 * p]:
+            left = Periodic(col[p:2 * p])
+            start = 2 * p
+    if w.right is not None and end == n:
+        p = w.right.period
+        if end - start > 2 * p and col[-p:] == col[-2 * p:-p]:
+            right = Periodic(col[-2 * p:-p])
+            end -= 2 * p
+    return SeqWindow(a + start + out_offset, col[start:end], left=left,
+                     right=right)
+
+
 def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     """``|u| + sum_{i<|u|} w[p - i*sign(u)]`` with u = w[p], the value the
     self-generation equation gives p+1, for every p in a..b; None where the
@@ -394,50 +452,22 @@ def extend_right_by_O(w: SeqWindow, steps: int,
 
 # --- differences and sums ----------------------------------------------------
 
-def _diff_once(w: SeqWindow) -> SeqWindow:
-    lo, hi = w.lo, w.hi
-    vals: list[int] = []
-    new_lo = lo
-    new_left: ExtRule = None
-    new_right: ExtRule = None
-
-    if w.left is not None:
-        unit = w.left.unit
-        p = len(unit)
-        # boundary value at lo-1 is materialized; the rest of the tail
-        # differences to a periodic tail of the same length
-        new_lo = lo - 1
-        vals.append(w.value_at(lo) - w.value_at(lo - 1))
-        d_unit = tuple(unit[(j + 1) % p] - unit[j] for j in range(p))
-        new_left = Periodic(tuple(d_unit[(j - 1) % p] for j in range(p)))
-
-    vals.extend(w.values[i + 1] - w.values[i]
-                for i in range(len(w.values) - 1))
-
-    if w.right is not None:
-        unit = w.right.unit
-        p = len(unit)
-        vals.append(w.value_at(hi + 1) - w.value_at(hi))
-        new_right = Periodic(tuple(unit[(j + 1) % p] - unit[j]
-                                   for j in range(p)))
-
-    if not vals:
-        raise WindowTooSmall("cannot difference a single-value window")
-    return SeqWindow(new_lo, vals, left=new_left, right=new_right)
-
-
 def difference(w: SeqWindow, k: int = 1) -> SeqWindow:
-    """k-fold forward difference; materialized domain shrinks by k on any
-    undefined side, periodic tails difference to periodic tails."""
+    """k-fold forward difference, the k-th difference of w at x reading
+    w[x..x + k]: one ``slice`` over ``_margins(w, k - 1)``, differenced k
+    times, then ``_assemble``, so a periodic tail differences to one of the
+    same period.  The output stores lo - k (lo on an undefined left side) to
+    hi (hi - k on an undefined right side)."""
     if k < 1:
         raise ValueError("difference order must be >= 1")
     if w.left is None and w.right is None and len(w.values) <= k:
         raise WindowTooSmall(
             f"window of {len(w.values)} values cannot take {k} differences")
-    out = w
+    a, b = _margins(w, k - 1)
+    col = w.slice(a, b)
     for _ in range(k):
-        out = _diff_once(out)
-    return out
+        col = list(map(operator.sub, col[1:], col))
+    return _assemble(w, col, a, 0)
 
 
 def partial_sums(w: SeqWindow, n: int) -> tuple[int, int]:
@@ -488,13 +518,12 @@ def unitary(w: SeqWindow, p: int) -> list[int]:
     """One-period slice at positions 1..p of a period-p window."""
     if p < 1:
         raise ValueError("period must be >= 1")
-    lo_chk = w.lo - (w.left.period if w.left else 0)
-    hi_chk = w.hi + (w.right.period if w.right else 0)
-    for k in range(lo_chk, hi_chk - p + 1):
-        if w.value_at(k) != w.value_at(k + p):
-            raise NotPeriodic(p)
+    vals = w.slice(w.lo - (w.left.period if w.left else 0),
+                   w.hi + (w.right.period if w.right else 0))
+    if vals[:-p] != vals[p:]:
+        raise NotPeriodic(p)
     try:
-        return [w.value_at(k) for k in range(1, p + 1)]
+        return w.slice(1, p)
     except OutOfDomain:
         raise NotPeriodic(p)
 
@@ -508,10 +537,8 @@ def breve(unit: Sequence[int], beta: int) -> SeqWindow:
     unit = tuple(int(v) for v in unit)
     if not unit:
         raise ValueError("unit must be nonempty")
-    p = len(unit)
     # phase the tail so value_at(beta - t) = a_{p - t} cyclically
-    left_unit = tuple(unit[(j - 1) % p] for j in range(p))
-    return SeqWindow(beta, (unit[-1],), left=Periodic(left_unit), right=None)
+    return SeqWindow(beta, unit[-1:], left=Periodic(unit[-1:] + unit[:-1]))
 
 
 def concat(a: SeqWindow, b: Union[Sequence[int], SeqWindow]) -> SeqWindow:
@@ -529,22 +556,25 @@ def concat(a: SeqWindow, b: Union[Sequence[int], SeqWindow]) -> SeqWindow:
 
 
 def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
-    """Pointwise sum on the intersection of the materialized ranges."""
+    """Pointwise sum on the intersection of the materialized ranges; a side
+    where both end together with tails gets one of the lcm period, read by
+    ``slice``, which refuses a tail over the cap before building it."""
     lo = max(a.lo, b.lo)
     hi = min(a.hi, b.hi)
     if lo > hi:
         raise IncompatibleShape("windows do not overlap")
-    vals = [a.value_at(k) + b.value_at(k) for k in range(lo, hi + 1)]
+
+    def added(s: int, t: int) -> Iterable[int]:
+        return map(operator.add, a.slice(s, t), b.slice(s, t))
+
     left = right = None
     if a.left is not None and b.left is not None and lo == a.lo == b.lo:
         p = math.lcm(a.left.period, b.left.period)
-        left = Periodic(tuple(a.value_at(lo - p + j) + b.value_at(lo - p + j)
-                              for j in range(p)))
+        left = Periodic(added(lo - p, lo - 1))
     if a.right is not None and b.right is not None and hi == a.hi == b.hi:
         p = math.lcm(a.right.period, b.right.period)
-        right = Periodic(tuple(a.value_at(hi + 1 + j) + b.value_at(hi + 1 + j)
-                               for j in range(p)))
-    return SeqWindow(lo, vals, left=left, right=right)
+        right = Periodic(added(hi + 1, hi + p))
+    return SeqWindow(lo, added(lo, hi), left=left, right=right)
 
 
 # --- JSON text ------------------------------------------------------------------

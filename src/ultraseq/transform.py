@@ -2,9 +2,11 @@
 the classical linear map G with its eigen-recurrence, and the shift L.
 
 Each application computes exactly those output positions whose input
-references are defined.  Periodic tails are carried over only when
-preservation is verified by evaluating one full period plus one element;
-otherwise the output side becomes undefined.
+references are defined.  A periodic tail maps to a tail of the same
+period: over a margin (``seqcore._margins``) whose two outermost periods
+read only the tail, ``seqcore._assemble`` compares one period with the
+next and, if they agree, makes it the output's tail; otherwise the output
+side becomes undefined.
 """
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainExhausted, InvalidConfig, OutOfDomain, WrongInitialCount
+from .errors import InvalidConfig, OutOfDomain, WrongInitialCount
 from .seqcore import (
-    Periodic,
     SeqWindow,
+    _assemble,
+    _column,
+    _margins,
     check_window_len,
     o_successors,
     range_sum,
@@ -67,69 +71,17 @@ class GParams:
 
 # --- generic application machinery -------------------------------------------
 
-def _margins(w: SeqWindow) -> tuple[int, int]:
-    """The input positions a pointwise transformation evaluates: the stored
-    span, widened by 2 on an undefined side and on a periodic side by three
-    tail periods plus the tail's largest magnitude.  A range over the cap is
-    refused here, before any transformation evaluates a position of it."""
-    margin_l = 2
-    margin_r = 2
-    if w.left is not None:
-        mag = max(abs(v) for v in w.left.unit)
-        margin_l = 3 * w.left.period + mag + 4
-    if w.right is not None:
-        mag = max(abs(v) for v in w.right.unit)
-        margin_r = 3 * w.right.period + mag + 4
-    p_lo, p_hi = w.lo - margin_l, w.hi + margin_r
-    check_window_len(p_hi - p_lo + 1, "range")
-    return p_lo, p_hi
-
-
-def _assemble(w: SeqWindow, computed: list[Optional[int]], p_lo: int,
-              out_offset: int) -> SeqWindow:
-    """The output window from the values computed at input positions
-    ``p_lo, p_lo + 1, ...`` (None where a reference is missing): the
-    longest contiguous computable run, with a periodic tail asserted on a
-    side only after checking one full period against the next."""
-    # longest contiguous computable run (leftmost on ties)
-    best = (0, None)  # (length, start offset)
-    start = None
-    for i, v in enumerate(computed + [None]):
-        if v is not None and start is None:
-            start = i
-        elif v is None and start is not None:
-            if i - start > best[0]:
-                best = (i - start, start)
-            start = None
-    if best[1] is None:
-        raise DomainExhausted("no computable output positions")
-    run_len, run_start = best
-    out_lo = p_lo + run_start + out_offset
-    vals = computed[run_start:run_start + run_len]
-
-    left = right = None
-    if (w.left is not None and run_start == 0
-            and run_len >= 2 * w.left.period):
-        p = w.left.period
-        if all(vals[j] == vals[j + p] for j in range(p)):
-            left = Periodic(tuple(vals[j] for j in range(p)))
-    if (w.right is not None and run_start + run_len == len(computed)
-            and run_len >= 2 * w.right.period):
-        p = w.right.period
-        if all(vals[-j - 1] == vals[-j - 1 - p] for j in range(p)):
-            right = Periodic(tuple(vals[run_len - p + j] for j in range(p)))
-    return SeqWindow(out_lo, vals, left=left, right=right)
-
-
 def _apply_pointwise(w: SeqWindow,
                      compute: Callable[[int], int],
                      out_offset: int = 1) -> SeqWindow:
     """Build the output window of a shift-invariant pointwise transformation.
 
     ``compute(p)`` evaluates the output value at position ``p + out_offset``
-    from ``w`` and raises OutOfDomain when a reference is missing.
+    from ``w`` and raises OutOfDomain when a reference is missing.  A range
+    over the cap is refused before any position of it is evaluated.
     """
     p_lo, p_hi = _margins(w)
+    check_window_len(p_hi - p_lo + 1, "range")
     computed: list[Optional[int]] = []
     for p in range(p_lo, p_hi + 1):
         try:
@@ -166,15 +118,16 @@ def apply_O(w: SeqWindow) -> SeqWindow:
     """The self-generation map: each output value is the one the equation
     gives from its predecessor's position, all of them from one
     ``o_successors`` pass over the margin range, O(1) per position."""
-    p_lo, p_hi = _margins(w)
-    return _assemble(w, o_successors(w, p_lo, p_hi), p_lo, 1)
+    a, b = _margins(w)
+    return _assemble(w, o_successors(w, a, b), a, 1)
 
 
 def apply_G(g: GParams, w: SeqWindow) -> SeqWindow:
-    def compute(p: int) -> int:
-        return g.p * w.value_at(p) - g.q * w.value_at(p - 1)
-
-    return _apply_pointwise(w, compute, out_offset=1)
+    """The classical linear map: g.p * u[x] - g.q * u[x - 1] at x + 1."""
+    a, b = _margins(w)
+    col = w.slice(a, b)
+    return _assemble(w, [g.p * y - g.q * x for x, y in zip(col, col[1:])],
+                     a + 1, 1)
 
 
 def shift_L(w: SeqWindow) -> SeqWindow:
@@ -192,6 +145,7 @@ def recurrence_1_3_extend(g: GParams, r: int, initial: list[int],
             f"expected {2 * r} initial values, got {len(initial)}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    check_window_len(2 * r + n)
     coeffs = [(-1) ** i * math.comb(r, i) * g.p ** (r - i) * g.q ** i
               for i in range(r + 1)]
     vals = [int(v) for v in initial]
@@ -218,10 +172,4 @@ def iterate(t: Transformation, n: int, w: SeqWindow) -> SeqWindow:
 
 def windows_equal(a: SeqWindow, b: SeqWindow, lo: int, hi: int) -> bool:
     """Pointwise equality over [lo, hi]; undefined positions must match."""
-    for k in range(lo, hi + 1):
-        da, db = a.defined(k), b.defined(k)
-        if da != db:
-            return False
-        if da and a.value_at(k) != b.value_at(k):
-            return False
-    return True
+    return _column(a, lo, hi) == _column(b, lo, hi)

@@ -7,16 +7,19 @@ rows they only reach short windows.
 """
 import dataclasses
 import pickle
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultraseq import seqcore, transform
 from ultraseq.errors import (
+    DomainExhausted,
     InvalidConfig,
     NonDeterministic,
     OutOfDomain,
     UltraseqError,
+    WindowTooSmall,
 )
 from ultraseq.families import (
     OPowerConfig,
@@ -35,6 +38,7 @@ from ultraseq.seqcore import (
     Periodic,
     SeqWindow,
     constant,
+    difference,
     extend_right_by_O,
     is_free,
     o_successor,
@@ -45,9 +49,11 @@ from ultraseq.seqcore import (
     verify_O_range,
 )
 from ultraseq.transform import (
+    GParams,
     HParams,
     O_SLOTS,
     _apply_pointwise,
+    apply_G,
     apply_H,
     apply_O,
 )
@@ -93,19 +99,20 @@ def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
                       "ok" if actual == expected else "violation")
 
 
+def naive_h_value(h: HParams, w: SeqWindow, p: int) -> int:
+    """The six-slot map's value at p + 1, with one lookup per summand."""
+    u = w.value_at(p)
+    a, b = h.f1(p, u), h.f2(p, u)
+    if b < a:
+        raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
+    c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
+    s = sign(u)
+    return sum(c * w.value_at(p * d - i * e * s) + f for i in range(a, b))
+
+
 def naive_apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
     """The six-slot map with one lookup per summand."""
-    def compute(p: int) -> int:
-        u = w.value_at(p)
-        a, b = h.f1(p, u), h.f2(p, u)
-        if b < a:
-            raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
-        c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
-        s = sign(u)
-        return sum(c * w.value_at(p * d - i * e * s) + f
-                   for i in range(a, b))
-
-    return _apply_pointwise(w, compute, out_offset=1)
+    return _apply_pointwise(w, lambda p: naive_h_value(h, w, p), out_offset=1)
 
 
 def naive_extend(w: SeqWindow, steps: int) -> list[int]:
@@ -371,6 +378,83 @@ class TestApplyHKernel:
             apply_H(h, w)
         with pytest.raises(InvalidConfig):
             naive_apply_H(h, w)
+
+
+# --- maps against values computed per position ------------------------------------
+
+G_PARAMS = GParams(2, -3)
+
+
+def h_map(h: HParams) -> tuple:
+    """``apply_H`` with its per-summand value at position k."""
+    return (lambda w: apply_H(h, w), lambda w, k: naive_h_value(h, w, k - 1))
+
+
+#: each map with the value it must give at position k, computed on the
+#: input at that one position (no assembler, margin or tail rule involved);
+#: the H slot sets are the ones that read the head only, so that the map is
+#: shift-invariant
+MAPS = {
+    "O": (apply_O, lambda w, k: o_successors(w, k - 1, k - 1)[0]),
+    "G": (lambda w: apply_G(G_PARAMS, w),
+          lambda w, k: G_PARAMS.p * w.value_at(k - 1)
+          - G_PARAMS.q * w.value_at(k - 2)),
+    "diff1": (difference, lambda w, k: w.value_at(k + 1) - w.value_at(k)),
+    "diff2": (lambda w: difference(w, 2),
+              lambda w, k: w.value_at(k + 2) - 2 * w.value_at(k + 1)
+              + w.value_at(k)),
+    **{f"H.{s}": h_map(H_SLOTS[s]) for s in ("O", "empty", "step0", "step2")},
+}
+
+
+def check_against_truth(w: SeqWindow, fn, truth) -> Optional[SeqWindow]:
+    """``fn(w)``, after checking that every position it defines within
+    4(M + p) + 2 of the span, M and p the tails' largest magnitude and
+    period, holds ``truth(w, position)``."""
+    try:
+        out = fn(w)
+    except (DomainExhausted, WindowTooSmall):
+        return None
+    tails = [r for r in (w.left, w.right) if r is not None]
+    reach = 4 * (max((max(map(abs, r.unit)) for r in tails), default=0)
+                 + max((r.period for r in tails), default=0)) + 2
+    for k in range(w.lo - reach, w.hi + reach + 1):
+        if out.defined(k):
+            assert out.value_at(k) == truth(w, k), (w, k)
+    return out
+
+
+def check_map(w: SeqWindow, name: str) -> None:
+    """One of ``MAPS`` against its per-position values; a periodic input
+    side must give a periodic output side."""
+    out = check_against_truth(w, *MAPS[name])
+    if out is not None:
+        assert w.left is None or out.left is not None, (name, w, out)
+        assert w.right is None or out.right is not None, (name, w, out)
+
+
+class TestMapsAgainstGroundTruth:
+    @settings(deadline=None)
+    @given(small_windows, st.sampled_from(sorted(MAPS)))
+    def test_small_windows(self, w, name):
+        check_map(w, name)
+
+    def test_rows_and_periodic_windows(self):
+        for w in short_rows() + periodic_windows():
+            for name in MAPS:
+                check_map(w, name)
+        # heads near 10^8: too many summands for the per-summand H values
+        for name in ("O", "G", "diff1", "diff2"):
+            check_map(pi_window(2, 40), name)
+
+    def test_a_slot_that_reads_the_position_keeps_no_unchecked_tail(self):
+        # u[p] + p % 2 alternates over a constant tail: the two periods the
+        # assembler compares differ, so neither side may get a tail
+        h = HParams(_const(0), _const(1), _const(1), _const(1), _const(1),
+                    lambda p, u: p % 2)
+        w = SeqWindow(0, (5, 6, 7), left=constant(2), right=constant(3))
+        out = check_against_truth(w, *h_map(h))
+        assert out.left is None and out.right is None
 
 
 class TestLookupCounts:

@@ -246,6 +246,13 @@ class TestStructuralPredicates:
         for k in range(-12, 16):
             assert s.value_at(k) == a.value_at(k) + b.value_at(k)
 
+    def test_window_add_refuses_an_lcm_tail_over_the_cap(self):
+        # lcm(1009, 1013) = 1,022,117 values, refused before any is built
+        a = SeqWindow(0, (1,), left=Periodic(range(1009)))
+        b = SeqWindow(0, (1,), left=Periodic(range(1013)))
+        with pytest.raises(TooLarge, match="1022117"):
+            window_add(a, b)
+
     def test_window_add_requires_overlap(self):
         with pytest.raises(IncompatibleShape):
             window_add(SeqWindow(0, (1,)), SeqWindow(5, (1,)))

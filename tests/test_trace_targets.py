@@ -13,7 +13,11 @@ import pytest
 
 import ultraseq
 from ultraseq.cli import dispatch
-from ultraseq.families import pi_window
+from ultraseq.families import (
+    canonical_o_power_config,
+    o_power_window,
+    pi_window,
+)
 from ultraseq.seqcore import from_json, to_document, verify_O_range
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,6 +57,25 @@ def test_family_construction_is_traced(tracer, capsys):
     for name in ("families.build_family", "families.pi_window",
                  "families.composite_row", "families.approx_report"):
         assert name in seen, name
+
+
+def test_differences_and_iterated_maps_are_traced(tracer, capsys):
+    w = o_power_window(canonical_o_power_config(1), 3)
+    t = tracer.Tracer(ultraseq)
+    t.install()
+    try:
+        argv = ["diff", "--family", "pi:m=2", "--range", "0..30", "--order",
+                "2"]
+        assert dispatch(argv) == 0
+        ultraseq.transform.iterate(ultraseq.transform.apply_O, 3, w)
+        t.end_op()
+    finally:
+        t.remove()
+    capsys.readouterr()
+    names = [span[0] for span in t.spans]
+    assert "seqcore.difference" in names
+    assert names.count("transform.iterate") == 1
+    assert names.count("transform.apply_O") == 3
 
 
 def test_verify_counts_the_report_violations(tracer, capsys, tmp_path):

@@ -101,6 +101,25 @@ class TestShiftAndOPower:
         for s in range(1, 5):
             assert not _agree(iterate(apply_O, s, w), w)
 
+    def test_iterated_o_stores_no_tail_copies(self):
+        # r = 9: each step's output keeps its tails as rules, so the stored
+        # span grows by about the tail's largest magnitude per side per step
+        w = o_power_window(canonical_o_power_config(4), 3)
+        out = iterate(apply_O, 9, w)
+        assert len(out.values) <= 250
+        assert out.left is not None and out.right is not None
+        assert windows_equal(out, w, w.lo - 60, w.hi + 60)
+
+    def test_a_run_reaching_a_tail_is_kept_over_a_longer_finite_one(self):
+        # the head -12 at 0 reads past the undefined right side, which
+        # splits the computable positions; the run reaching the zero tail
+        # wins over the ten positions after the split
+        w = SeqWindow(0, (-12,) + (1,) * 10, left=Periodic((0,)))
+        out = apply_O(w)
+        assert out.left == Periodic((0,)) and out.hi == 0
+        assert windows_equal(out, SeqWindow(0, (0,), left=Periodic((0,))),
+                             -30, 12)
+
     def test_zero_slots_are_carried_by_the_shift(self):
         cfg = OPowerConfig(4, ("+", "0", "-", "-"))
         w = o_power_window(cfg, 3)
@@ -149,6 +168,18 @@ class TestRecurrenceExtension:
                    for k in _common_range(out, w))
 
 
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"g.{name} was read")
+
+
+class TestRecurrenceGuard:
+    def test_length_over_the_cap_is_refused_before_the_loop(self):
+        # 2 + 1.5M values: refused before a coefficient is computed
+        with pytest.raises(TooLarge, match="1500002"):
+            recurrence_1_3_extend(_Untouchable(), 1, [0, 1], 1_500_000)
+
+
 class TestMarginGuard:
     @pytest.mark.parametrize("transform", [
         apply_O, lambda w: apply_H(O_SLOTS, w),
@@ -163,7 +194,7 @@ class TestMarginGuard:
             raise AssertionError("a position was evaluated")
 
         monkeypatch.setattr(SeqWindow, "value_at", no_lookup)
-        with pytest.raises(TooLarge, match="3000011"):
+        with pytest.raises(TooLarge, match="3000005"):
             transform(w)
 
 
