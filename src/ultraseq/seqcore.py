@@ -14,12 +14,11 @@ import json
 import math
 import operator
 import os
-from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate, chain, starmap
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DomainExhausted,
@@ -294,8 +293,6 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     [s, t), with G the window's signed prefix sum (``_signed_prefix``); an
     end inside the stored span reads its prefix sums directly.
     """
-    if a > b:
-        return []
     lo, end = w.lo, w.hi + 1
     prefix = w._prefix
     G = _signed_prefix(lo, prefix, w.left, w.right)
@@ -337,8 +334,7 @@ UNCHECKABLE = "uncheckable"
 
 
 class CheckEntry(NamedTuple):
-    """The equation at one position; a tuple, so cheap to build per
-    position."""
+    """The equation at one position."""
 
     position: int
     expected: Optional[int]
@@ -348,39 +344,48 @@ class CheckEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckReport:
-    entries: tuple[CheckEntry, ...] = field(default_factory=tuple)
+    """The equation at lo, lo + 1, ... as two columns, held as given and
+    None where undefined: ``expected[i]``, the successor it gives lo + i, and
+    ``actual[i]``, the value at lo + i + 1.  Counts come from one pass over
+    them, entries only when read."""
 
-    def __init__(self, entries: Iterable[CheckEntry]):
-        entries = tuple(entries)
-        positions = [e.position for e in entries]
-        if not all(map(operator.lt, positions, positions[1:])):
-            raise ValueError("entries must have strictly increasing positions")
-        object.__setattr__(self, "entries", entries)
-        # counted once; not a field, so equality, hashing and repr ignore it
-        object.__setattr__(self, "_counts",
-                           Counter(e.status for e in entries))
+    lo: int
+    expected: Sequence[Optional[int]]
+    actual: Sequence[Optional[int]]
+
+    def __post_init__(self):
+        expected, actual = self.expected, self.actual
+        bad = [i for i, (e, a) in enumerate(zip(expected, actual, strict=True))
+               if e is None or e != a]
+        violations = [i for i in bad
+                      if expected[i] is not None and actual[i] is not None]
+        # past the frozen guard, as ``cached_property`` writes; equality,
+        # hashing and repr read only the fields
+        vars(self).update(_violations=violations, all_ok=not violations,
+                          ok_count=len(expected) - len(bad),
+                          violation_count=len(violations),
+                          uncheckable_count=len(bad) - len(violations))
+
+    def rows(self) -> Iterator[tuple[int, Optional[int], Optional[int], str]]:
+        """(position, expected, actual, status) at each position, as plain
+        tuples; an uncheckable position keeps neither value."""
+        for p, (e, a) in enumerate(zip(self.expected, self.actual), self.lo):
+            if e is None or a is None:
+                yield p, None, None, UNCHECKABLE
+            else:
+                yield p, e, a, OK if e == a else VIOLATION
+
+    @cached_property
+    def entries(self) -> tuple[CheckEntry, ...]:
+        return tuple(starmap(CheckEntry, self.rows()))
 
     def count(self, status: str) -> int:
-        return self._counts[status]
-
-    @property
-    def ok_count(self) -> int:
-        return self.count(OK)
-
-    @property
-    def violation_count(self) -> int:
-        return self.count(VIOLATION)
-
-    @property
-    def uncheckable_count(self) -> int:
-        return self.count(UNCHECKABLE)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.violation_count == 0
+        return {OK: self.ok_count, VIOLATION: self.violation_count,
+                UNCHECKABLE: self.uncheckable_count}.get(status, 0)
 
     def violations(self) -> list[CheckEntry]:
-        return [e for e in self.entries if e.status == VIOLATION]
+        return [CheckEntry(self.lo + i, self.expected[i], self.actual[i],
+                           VIOLATION) for i in self._violations]
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
@@ -399,16 +404,7 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     """
     if a > b:
         raise ValueError("range must satisfy a <= b")
-    entries = []
-    append = entries.append
-    for p, expected, actual in zip(range(a, b + 1), o_successors(w, a, b),
-                                   _column(w, a + 1, b + 1)):
-        if expected is None or actual is None:
-            append(CheckEntry(p, None, None, UNCHECKABLE))
-        else:
-            append(CheckEntry(p, expected, actual,
-                              OK if actual == expected else VIOLATION))
-    return CheckReport(entries)
+    return CheckReport(a, o_successors(w, a, b), _column(w, a + 1, b + 1))
 
 
 # --- generation --------------------------------------------------------------
@@ -749,16 +745,19 @@ def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> st
 
 
 def from_csv(text: str) -> SeqWindow:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["index", "value"]:
+    rows = list(csv.reader(io.StringIO(text)))
+    for line, row in enumerate(rows, 1):
+        if len(row) != 2:
+            raise ValueError(f"line {line}: expected 'index,value', got "
+                             f"{len(row)} fields")
+    if rows[:1] != [["index", "value"]]:
         raise ValueError("expected 'index,value' header")
-    fields = list(reader)
-    _check_decimal(list(chain.from_iterable(fields)), "indices and values")
-    rows = [(int(idx), int(val)) for idx, val in fields]
-    if not rows:
+    fields = rows[1:]
+    if not fields:
         raise ValueError("no data rows")
-    indices = [i for i, _ in rows]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
+    _check_decimal(list(chain.from_iterable(fields)), "indices and values")
+    indices, values = zip(*fields)
+    lo = int(indices[0])
+    if list(map(int, indices)) != list(range(lo, lo + len(fields))):
         raise ValueError("indices must be contiguous and ascending")
-    return SeqWindow(indices[0], (v for _, v in rows))
+    return SeqWindow(lo, values)

@@ -36,6 +36,7 @@ class HParams:
 
     Each slot receives (position p, value u_p) and returns an integer.
     nu_{p+1} = sum over i in [f1, f2) of f3 * u_{p*f4 - i*f5*sign(u_p)} + f6.
+    A periodic tail maps exactly only if no slot reads p and f4 is 1.
     """
 
     f1: SlotFn
@@ -96,7 +97,10 @@ def _apply_pointwise(w: SeqWindow,
 def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
     """The six-slot map.  When the slot step f5*sign(u) is +1 or -1 the
     summands form one contiguous range of positions, so a value is one
-    ``range_sum`` in O(1); other steps sum one lookup per summand."""
+    ``range_sum`` in O(1); other steps sum one lookup per summand.  A tail
+    is carried exactly only when no slot reads p: else the map is not
+    shift-invariant, and ``_assemble``, which compares only one input period
+    with the next, may keep a wrong tail."""
     def compute(p: int) -> int:
         u = w.value_at(p)
         a, b = h.f1(p, u), h.f2(p, u)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ultraseq import cli
+from ultraseq import cli, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.families import build_family
 from ultraseq.seqcore import from_json, to_json
@@ -166,6 +166,47 @@ class TestVerify:
         code, out, err = run(capsys, *command, "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--range", "0..1"], ["export", "--format", "json"]])
+    @pytest.mark.parametrize("rows, line, fields", [
+        ("0,1\n1\n", 3, 1), ("0,1\n1,2,3\n2,5\n", 3, 3), ("0,1\n\n", 3, 0)])
+    def test_csv_row_of_other_than_two_fields_is_named(
+            self, capsys, tmp_path, command, rows, line, fields):
+        path = tmp_path / "row.csv"
+        path.write_text("index,value\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: line {line}: expected 'index,value', got "
+                       f"{fields} fields\n")
+
+    def test_table_builds_one_entry_per_violation_line(
+            self, capsys, tmp_path, monkeypatch):
+        w = build_family("pi:m=1", 0, 40)
+        values = [str(v) for v in w.values]
+        for k in (5, 17, 30):
+            values[k] = str(int(values[k]) + 1)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "lo": 0, "values": values,
+            "left": {"kind": "periodic", "unit": ["-2"]},
+            "right": {"kind": "undefined"}}))
+        built, real = [], seqcore.CheckEntry
+
+        def entry(*fields):
+            built.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(seqcore, "CheckEntry", entry)
+        code, out, _ = run(capsys, "verify", "--input", str(path),
+                           "--range=-3..45")
+        assert code == 1
+        lines = out.splitlines()
+        violations = [line for line in lines if line.startswith("violation")]
+        # each raised value breaks every later sum that reads it
+        assert lines[0] == "9 ok, 36 violations, 4 uncheckable"
+        assert len(built) == len(violations) == 36
+        assert all(status == "violation" for *_, status in built)
 
     def test_document_values_may_be_json_integers(self, capsys, tmp_path):
         path = tmp_path / "ints.json"

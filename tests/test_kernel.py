@@ -7,6 +7,7 @@ rows they only reach short windows.
 """
 import dataclasses
 import pickle
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -24,6 +25,7 @@ from ultraseq.errors import (
 from ultraseq.families import (
     OPowerConfig,
     TauConfig,
+    build_family,
     canonical_o_power_config,
     composite_row,
     o_power_window,
@@ -97,6 +99,22 @@ def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
         return CheckEntry(p, None, None, "uncheckable")
     return CheckEntry(p, expected, actual,
                       "ok" if actual == expected else "violation")
+
+
+def assert_report_matches(report, want: list[CheckEntry],
+                          w: SeqWindow) -> None:
+    """The report's counts, violations and one-point checks agree with the
+    oracle's entries ``want``."""
+    for status in ("ok", "violation", "uncheckable"):
+        assert report.count(status) == sum(e.status == status for e in want)
+    assert (report.ok_count, report.violation_count,
+            report.uncheckable_count) == tuple(
+        map(report.count, ("ok", "violation", "uncheckable")))
+    assert report.violations() == [e for e in want if e.status == "violation"]
+    assert report.all_ok == all(e.status != "violation" for e in want)
+    assert report.count("mystery") == 0
+    for e in want:
+        assert seqcore.verify_O_point(w, e.position) == e
 
 
 def naive_h_value(h: HParams, w: SeqWindow, p: int) -> int:
@@ -267,8 +285,10 @@ class TestSuccessor:
     @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
     def test_report_matches_per_point_oracle(self, w, a, length):
         b = a + length - 1
-        assert verify_O_range(w, a, b).entries == tuple(
-            naive_check_entry(w, p) for p in range(a, b + 1))
+        want = [naive_check_entry(w, p) for p in range(a, b + 1)]
+        report = verify_O_range(w, a, b)
+        assert report.entries == tuple(want)
+        assert_report_matches(report, want, w)
 
     def test_report_on_rows_and_periodic_windows(self):
         for w in short_rows() + periodic_windows():
@@ -276,9 +296,7 @@ class TestSuccessor:
             report = verify_O_range(w, a, b)
             want = [naive_check_entry(w, p) for p in range(a, b + 1)]
             assert list(report.entries) == want, w
-            for status in ("ok", "violation", "uncheckable"):
-                assert report.count(status) == \
-                    sum(e.status == status for e in want)
+            assert_report_matches(report, want, w)
 
     def test_verify_reports_the_oracle_value(self):
         w = SeqWindow(0, (1, 2, 6, -1, 0, -3, 5), left=Periodic((-2, 4)))
@@ -494,6 +512,39 @@ class TestLookupCounts:
         assert report.ok_count == len(w.values) + 4
         # one pass over the range: fewer lookups than positions
         assert calls["n"] < len(report.entries)
+
+
+class TestReportColumns:
+    """Clock-free pins: a report is the kernel's two columns, and
+    per-position entries are built only when they are read."""
+
+    def test_entries_are_built_only_when_read(self, monkeypatch):
+        built = []
+
+        def entry(*fields):
+            built.append(fields[0])
+            return CheckEntry(*fields)
+
+        monkeypatch.setattr(seqcore, "CheckEntry", entry)
+        # a pi row with its value at 2 raised by one
+        w = SeqWindow(0, (1, 2, 6, 9, 16, 27), left=constant(-2))
+        report = verify_O_range(w, -2, 8)
+        assert (report.ok_count, report.violation_count,
+                report.uncheckable_count) == (4, 3, 4) and built == []
+        assert [e.position for e in report.violations()] == [1, 3, 4]
+        assert built == [1, 3, 4]
+        assert len(report.entries) == 11 and len(built) == 14
+
+    def test_a_long_periodic_range_holds_two_columns(self):
+        w = build_family("tau:m=1,P=5,N=1", 0, 199_999)
+        tracemalloc.start()
+        try:
+            report = verify_O_range(w, 0, 199_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok_count == 200_000
+        assert peak < 10_000_000
 
 
 class TestOneTailReader:
