@@ -15,7 +15,7 @@ import math
 import operator
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -342,46 +342,68 @@ class CheckEntry(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True)
+def _status(expected: Optional[int], actual: Optional[int]) -> str:
+    """The equation's status where it gives ``expected`` and the value it is
+    checked against is ``actual``."""
+    if expected is None or actual is None:
+        return UNCHECKABLE
+    return OK if expected == actual else VIOLATION
+
+
+@dataclass(frozen=True, eq=False)
 class CheckReport:
     """The equation at lo, lo + 1, ... as two columns, held as given and
     None where undefined: ``expected[i]``, the successor it gives lo + i, and
-    ``actual[i]``, the value at lo + i + 1.  Counts come from one pass over
-    them, entries only when read."""
+    ``actual[i]``, the value at lo + i + 1.  One pass over them keeps the
+    violations and the uncheckable count; entries are built only when read.
+    Reports compare by identity: columns that differ only where a position
+    is uncheckable give the same entries."""
 
     lo: int
     expected: Sequence[Optional[int]]
     actual: Sequence[Optional[int]]
+    _violations: list[int] = field(init=False, repr=False)
+    uncheckable_count: int = field(init=False)
 
     def __post_init__(self):
-        expected, actual = self.expected, self.actual
-        bad = [i for i, (e, a) in enumerate(zip(expected, actual, strict=True))
-               if e is None or e != a]
-        violations = [i for i in bad
-                      if expected[i] is not None and actual[i] is not None]
-        # past the frozen guard, as ``cached_property`` writes; equality,
-        # hashing and repr read only the fields
-        vars(self).update(_violations=violations, all_ok=not violations,
-                          ok_count=len(expected) - len(bad),
-                          violation_count=len(violations),
-                          uncheckable_count=len(bad) - len(violations))
+        if len(self.expected) != len(self.actual):
+            raise ValueError("the two columns must have the same length")
+        not_ok = [(i, s) for i, s in enumerate(map(_status, self.expected,
+                                                   self.actual)) if s != OK]
+        violations = [i for i, s in not_ok if s == VIOLATION]
+        object.__setattr__(self, "_violations", violations)
+        object.__setattr__(self, "uncheckable_count",
+                           len(not_ok) - len(violations))
+
+    @property
+    def violation_count(self) -> int:
+        return len(self._violations)
+
+    @property
+    def ok_count(self) -> int:
+        return (len(self.expected) - self.violation_count
+                - self.uncheckable_count)
+
+    @property
+    def all_ok(self) -> bool:
+        return not self._violations
+
+    def count(self, status: str) -> int:
+        return {OK: self.ok_count, VIOLATION: self.violation_count,
+                UNCHECKABLE: self.uncheckable_count}.get(status, 0)
 
     def rows(self) -> Iterator[tuple[int, Optional[int], Optional[int], str]]:
         """(position, expected, actual, status) at each position, as plain
         tuples; an uncheckable position keeps neither value."""
         for p, (e, a) in enumerate(zip(self.expected, self.actual), self.lo):
-            if e is None or a is None:
-                yield p, None, None, UNCHECKABLE
-            else:
-                yield p, e, a, OK if e == a else VIOLATION
+            status = _status(e, a)
+            if status == UNCHECKABLE:
+                e = a = None
+            yield p, e, a, status
 
     @cached_property
     def entries(self) -> tuple[CheckEntry, ...]:
         return tuple(starmap(CheckEntry, self.rows()))
-
-    def count(self, status: str) -> int:
-        return {OK: self.ok_count, VIOLATION: self.violation_count,
-                UNCHECKABLE: self.uncheckable_count}.get(status, 0)
 
     def violations(self) -> list[CheckEntry]:
         return [CheckEntry(self.lo + i, self.expected[i], self.actual[i],
@@ -746,15 +768,15 @@ def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> st
 
 def from_csv(text: str) -> SeqWindow:
     rows = list(csv.reader(io.StringIO(text)))
-    for line, row in enumerate(rows, 1):
-        if len(row) != 2:
-            raise ValueError(f"line {line}: expected 'index,value', got "
-                             f"{len(row)} fields")
     if rows[:1] != [["index", "value"]]:
         raise ValueError("expected 'index,value' header")
     fields = rows[1:]
     if not fields:
         raise ValueError("no data rows")
+    for line, row in enumerate(fields, 2):
+        if len(row) != 2:
+            raise ValueError(f"line {line}: expected 'index,value', got "
+                             f"{len(row)} fields")
     _check_decimal(list(chain.from_iterable(fields)), "indices and values")
     indices, values = zip(*fields)
     lo = int(indices[0])

@@ -535,6 +535,17 @@ class TestReportColumns:
         assert built == [1, 3, 4]
         assert len(report.entries) == 11 and len(built) == 14
 
+    def test_reports_compare_by_identity_and_need_equal_columns(self):
+        # an uncheckable position keeps its raw values in the columns, so
+        # equal entries do not make equal columns; no value equality is
+        # claimed
+        a = seqcore.CheckReport(0, [None, 3], [5, 3])
+        b = seqcore.CheckReport(0, [None, 3], [7, 3])
+        assert a.entries == b.entries and a != b and a == a
+        assert len({a, b}) == 2
+        with pytest.raises(ValueError):
+            seqcore.CheckReport(0, [1, 2], [1])
+
     def test_a_long_periodic_range_holds_two_columns(self):
         w = build_family("tau:m=1,P=5,N=1", 0, 199_999)
         tracemalloc.start()
