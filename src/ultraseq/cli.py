@@ -54,6 +54,10 @@ def _render(header: Sequence[str], rows, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _decimal(value: Optional[int]) -> Optional[str]:
+    return None if value is None else str(value)
+
+
 def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     if fmt == "csv":
         return to_csv(w, lo, hi)
@@ -183,8 +187,8 @@ def _cmd_verify(args) -> tuple[str, int]:
     else:
         text = _render(
             ("position", "expected", "actual", "status"),
-            [(p, e, a, status) if e is None else (p, str(e), str(a), status)
-             for p, e, a, status in report.rows()], args.format)
+            [(e.position, _decimal(e.expected), _decimal(e.actual), e.status)
+             for e in report.entries], args.format)
     failed = report.violation_count or (args.strict and report.uncheckable_count)
     return text, 1 if failed else 0
 

@@ -14,11 +14,12 @@ import json
 import math
 import operator
 import os
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, starmap
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate, chain
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DomainExhausted,
@@ -75,8 +76,6 @@ class Periodic:
     def take(self, t0: int, t1: int) -> tuple[int, ...]:
         """unit[t % period] for t in t0..t1, by one repeat and one slice."""
         n = t1 - t0 + 1
-        if n <= 0:
-            return ()
         r = t0 % self.period
         return (self.unit * ((r + n) // self.period + 1))[r:r + n]
 
@@ -203,15 +202,12 @@ def _signed_prefix(lo: int, prefix: list[int], left: ExtRule,
 
 def range_sum(w: SeqWindow, a: int, b: int) -> int:
     """Sum of values at positions a..b inclusive, G(b + 1) - G(a): O(1)
-    big-int operations however long the range is (heads can be huge)."""
+    big-int operations however long the range is (heads can be huge).  An
+    undefined side raises ``OutOfDomain`` at a, else at b, as G does."""
     if a > b:
         return 0
-    if a < w.lo and w.left is None:
-        raise OutOfDomain(a)
-    if b > w.hi and w.right is None:
-        raise OutOfDomain(b)
     G = _signed_prefix(w.lo, w._prefix, w.left, w.right)
-    return G(b + 1) - G(a)
+    return -G(a) + G(b + 1)
 
 
 def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
@@ -334,7 +330,8 @@ UNCHECKABLE = "uncheckable"
 
 
 class CheckEntry(NamedTuple):
-    """The equation at one position."""
+    """The equation at one position; a tuple, so cheap to build per
+    position."""
 
     position: int
     expected: Optional[int]
@@ -342,72 +339,41 @@ class CheckEntry(NamedTuple):
     status: str
 
 
-def _status(expected: Optional[int], actual: Optional[int]) -> str:
-    """The equation's status where it gives ``expected`` and the value it is
-    checked against is ``actual``."""
-    if expected is None or actual is None:
-        return UNCHECKABLE
-    return OK if expected == actual else VIOLATION
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CheckReport:
-    """The equation at lo, lo + 1, ... as two columns, held as given and
-    None where undefined: ``expected[i]``, the successor it gives lo + i, and
-    ``actual[i]``, the value at lo + i + 1.  One pass over them keeps the
-    violations and the uncheckable count; entries are built only when read.
-    Reports compare by identity: columns that differ only where a position
-    is uncheckable give the same entries."""
+    entries: tuple[CheckEntry, ...] = field(default_factory=tuple)
 
-    lo: int
-    expected: Sequence[Optional[int]]
-    actual: Sequence[Optional[int]]
-    _violations: list[int] = field(init=False, repr=False)
-    uncheckable_count: int = field(init=False)
+    def __init__(self, entries: Iterable[CheckEntry]):
+        entries = tuple(entries)
+        positions = [e.position for e in entries]
+        if not all(map(operator.lt, positions, positions[1:])):
+            raise ValueError("entries must have strictly increasing positions")
+        object.__setattr__(self, "entries", entries)
+        # counted once; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_counts",
+                           Counter(e.status for e in entries))
 
-    def __post_init__(self):
-        if len(self.expected) != len(self.actual):
-            raise ValueError("the two columns must have the same length")
-        not_ok = [(i, s) for i, s in enumerate(map(_status, self.expected,
-                                                   self.actual)) if s != OK]
-        violations = [i for i, s in not_ok if s == VIOLATION]
-        object.__setattr__(self, "_violations", violations)
-        object.__setattr__(self, "uncheckable_count",
-                           len(not_ok) - len(violations))
-
-    @property
-    def violation_count(self) -> int:
-        return len(self._violations)
+    def count(self, status: str) -> int:
+        return self._counts[status]
 
     @property
     def ok_count(self) -> int:
-        return (len(self.expected) - self.violation_count
-                - self.uncheckable_count)
+        return self.count(OK)
+
+    @property
+    def violation_count(self) -> int:
+        return self.count(VIOLATION)
+
+    @property
+    def uncheckable_count(self) -> int:
+        return self.count(UNCHECKABLE)
 
     @property
     def all_ok(self) -> bool:
-        return not self._violations
-
-    def count(self, status: str) -> int:
-        return {OK: self.ok_count, VIOLATION: self.violation_count,
-                UNCHECKABLE: self.uncheckable_count}.get(status, 0)
-
-    def rows(self) -> Iterator[tuple[int, Optional[int], Optional[int], str]]:
-        """(position, expected, actual, status) at each position, as plain
-        tuples; an uncheckable position keeps neither value."""
-        for p, (e, a) in enumerate(zip(self.expected, self.actual), self.lo):
-            status = _status(e, a)
-            if status == UNCHECKABLE:
-                e = a = None
-            yield p, e, a, status
-
-    @cached_property
-    def entries(self) -> tuple[CheckEntry, ...]:
-        return tuple(starmap(CheckEntry, self.rows()))
+        return self.violation_count == 0
 
     def violations(self) -> list[CheckEntry]:
-        return [CheckEntry(self.lo + i, self.expected[i], self.actual[i],
-                           VIOLATION) for i in self._violations]
+        return [e for e in self.entries if e.status == VIOLATION]
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
@@ -426,7 +392,16 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     """
     if a > b:
         raise ValueError("range must satisfy a <= b")
-    return CheckReport(a, o_successors(w, a, b), _column(w, a + 1, b + 1))
+    entries = []
+    append = entries.append
+    for p, expected, actual in zip(range(a, b + 1), o_successors(w, a, b),
+                                   _column(w, a + 1, b + 1)):
+        if expected is None or actual is None:
+            append(CheckEntry(p, None, None, UNCHECKABLE))
+        else:
+            append(CheckEntry(p, expected, actual,
+                              OK if actual == expected else VIOLATION))
+    return CheckReport(entries)
 
 
 # --- generation --------------------------------------------------------------
@@ -514,20 +489,15 @@ def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
     if not s:
         raise ValueError("segment must be nonempty")
     beta = alpha + len(s) - 1
-
-    def at(n: int) -> int:
-        return s[n - alpha]
-
-    for n in range(alpha, beta):
-        a = at(n)
+    for n, a in enumerate(s[:-1], alpha):
         reach = n + sign(a) - a
         if not (alpha <= reach <= beta):
             return FreeCheck(False, n, 1)
     w = SeqWindow(alpha, s)  # condition 1 keeps every summand inside
     for n, want in enumerate(o_successors(w, alpha, beta - 1), alpha):
-        if at(n + 1) != want:
+        if s[n + 1 - alpha] != want:
             return FreeCheck(False, n, 2)
-    if at(beta) != -2:
+    if s[-1] != -2:
         return FreeCheck(False, beta, 3)
     return FreeCheck(True)
 
@@ -652,22 +622,14 @@ def _json_into(out: list[str], obj, nl: str) -> None:
     elif set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
         text = json.dumps(obj, separators=("," + inner, ": "))
         out += text[0], inner, text[1:-1], nl, text[-1]
-    elif is_dict:
-        sep = inner
-        out.append("{")
-        for k, v in obj.items():
-            out += sep, _json_key(k), ": "
-            _json_into(out, v, inner)
-            sep = "," + inner
-        out += nl, "}"
     else:
-        sep = inner
-        out.append("[")
-        for v in obj:
-            out.append(sep)
+        sep, brackets = inner, "{}" if is_dict else "[]"
+        out.append(brackets[0])
+        for k, v in obj.items() if is_dict else enumerate(obj):
+            out += (sep, _json_key(k), ": ") if is_dict else (sep,)
             _json_into(out, v, inner)
             sep = "," + inner
-        out += nl, "]"
+        out += nl, brackets[1]
 
 
 def _json_key(key) -> str:

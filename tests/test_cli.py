@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ultraseq import cli, seqcore
+from ultraseq import cli
 from ultraseq.cli import dispatch
 from ultraseq.families import build_family
 from ultraseq.seqcore import from_json, to_json
@@ -179,34 +179,6 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == (f"error: line {line}: expected 'index,value', got "
                        f"{fields} fields\n")
-
-    def test_table_builds_one_entry_per_violation_line(
-            self, capsys, tmp_path, monkeypatch):
-        w = build_family("pi:m=1", 0, 40)
-        values = [str(v) for v in w.values]
-        for k in (5, 17, 30):
-            values[k] = str(int(values[k]) + 1)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "lo": 0, "values": values,
-            "left": {"kind": "periodic", "unit": ["-2"]},
-            "right": {"kind": "undefined"}}))
-        built, real = [], seqcore.CheckEntry
-
-        def entry(*fields):
-            built.append(fields)
-            return real(*fields)
-
-        monkeypatch.setattr(seqcore, "CheckEntry", entry)
-        code, out, _ = run(capsys, "verify", "--input", str(path),
-                           "--range=-3..45")
-        assert code == 1
-        lines = out.splitlines()
-        violations = [line for line in lines if line.startswith("violation")]
-        # each raised value breaks every later sum that reads it
-        assert lines[0] == "9 ok, 36 violations, 4 uncheckable"
-        assert len(built) == len(violations) == 36
-        assert all(status == "violation" for *_, status in built)
 
     def test_document_values_may_be_json_integers(self, capsys, tmp_path):
         path = tmp_path / "ints.json"

@@ -7,7 +7,6 @@ rows they only reach short windows.
 """
 import dataclasses
 import pickle
-import tracemalloc
 from typing import Optional
 
 import pytest
@@ -25,7 +24,6 @@ from ultraseq.errors import (
 from ultraseq.families import (
     OPowerConfig,
     TauConfig,
-    build_family,
     canonical_o_power_config,
     composite_row,
     o_power_window,
@@ -512,50 +510,6 @@ class TestLookupCounts:
         assert report.ok_count == len(w.values) + 4
         # one pass over the range: fewer lookups than positions
         assert calls["n"] < len(report.entries)
-
-
-class TestReportColumns:
-    """Clock-free pins: a report is the kernel's two columns, and
-    per-position entries are built only when they are read."""
-
-    def test_entries_are_built_only_when_read(self, monkeypatch):
-        built = []
-
-        def entry(*fields):
-            built.append(fields[0])
-            return CheckEntry(*fields)
-
-        monkeypatch.setattr(seqcore, "CheckEntry", entry)
-        # a pi row with its value at 2 raised by one
-        w = SeqWindow(0, (1, 2, 6, 9, 16, 27), left=constant(-2))
-        report = verify_O_range(w, -2, 8)
-        assert (report.ok_count, report.violation_count,
-                report.uncheckable_count) == (4, 3, 4) and built == []
-        assert [e.position for e in report.violations()] == [1, 3, 4]
-        assert built == [1, 3, 4]
-        assert len(report.entries) == 11 and len(built) == 14
-
-    def test_reports_compare_by_identity_and_need_equal_columns(self):
-        # an uncheckable position keeps its raw values in the columns, so
-        # equal entries do not make equal columns; no value equality is
-        # claimed
-        a = seqcore.CheckReport(0, [None, 3], [5, 3])
-        b = seqcore.CheckReport(0, [None, 3], [7, 3])
-        assert a.entries == b.entries and a != b and a == a
-        assert len({a, b}) == 2
-        with pytest.raises(ValueError):
-            seqcore.CheckReport(0, [1, 2], [1])
-
-    def test_a_long_periodic_range_holds_two_columns(self):
-        w = build_family("tau:m=1,P=5,N=1", 0, 199_999)
-        tracemalloc.start()
-        try:
-            report = verify_O_range(w, 0, 199_999)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.ok_count == 200_000
-        assert peak < 10_000_000
 
 
 class TestOneTailReader:

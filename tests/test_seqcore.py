@@ -285,10 +285,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_csv("index,value\n0,1\n2,3\n")
 
+    def test_csv_rejects_bad_header(self):
+        with pytest.raises(ValueError):
+            from_csv("n,u\n0,1\n")
+
     @pytest.mark.parametrize("text", [
-        "n,u\n0,1\n", "index\n0\n", "n,u\n0\n", "index,value,x\n0,1\n", ""])
-    def test_csv_rejects_bad_header(self, text):
-        # checked before the rows' field counts
+        "index\n0\n", "n,u\n0\n", "index,value,x\n0,1\n", ""])
+    def test_csv_header_is_checked_before_the_rows(self, text):
         with pytest.raises(ValueError, match="^expected 'index,value' header$"):
             from_csv(text)
 
