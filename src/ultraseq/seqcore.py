@@ -622,14 +622,22 @@ def _json_into(out: list[str], obj, nl: str) -> None:
     elif set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
         text = json.dumps(obj, separators=("," + inner, ": "))
         out += text[0], inner, text[1:-1], nl, text[-1]
-    else:
-        sep, brackets = inner, "{}" if is_dict else "[]"
-        out.append(brackets[0])
-        for k, v in obj.items() if is_dict else enumerate(obj):
-            out += (sep, _json_key(k), ": ") if is_dict else (sep,)
+    elif is_dict:
+        sep = inner
+        out.append("{")
+        for k, v in obj.items():
+            out += sep, _json_key(k), ": "
             _json_into(out, v, inner)
             sep = "," + inner
-        out += nl, brackets[1]
+        out += nl, "}"
+    else:
+        sep = inner
+        out.append("[")
+        for v in obj:
+            out.append(sep)
+            _json_into(out, v, inner)
+            sep = "," + inner
+        out += nl, "]"
 
 
 def _json_key(key) -> str:

@@ -286,14 +286,12 @@ class TestSerialization:
             from_csv("index,value\n0,1\n2,3\n")
 
     def test_csv_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            from_csv("n,u\n0,1\n")
-
-    @pytest.mark.parametrize("text", [
-        "index\n0\n", "n,u\n0\n", "index,value,x\n0,1\n", ""])
-    def test_csv_header_is_checked_before_the_rows(self, text):
-        with pytest.raises(ValueError, match="^expected 'index,value' header$"):
-            from_csv(text)
+        # the header is checked before the rows' field counts
+        for text in ("n,u\n0,1\n", "index\n0\n", "n,u\n0\n",
+                     "index,value,x\n0,1\n", ""):
+            with pytest.raises(ValueError,
+                               match="^expected 'index,value' header$"):
+                from_csv(text)
 
     def test_document_rejects_unknown_rule(self):
         doc = to_document(SeqWindow(0, (1,)))
