@@ -34,8 +34,11 @@ def pi_window(m: int, n_max: int) -> SeqWindow:
     """Constant -2 left tail, seed m at index 0, generated forward.
 
     Construction is cross-checked against the running-sum identity
-    (value at n+1 equals S_n + 2n + 2) and against the affine two-term
-    recurrence; a failure raises IdentityViolation.
+    u[n+1] = S_n + 2n + 2, S_n the sum of u[0..n-1]; a failure raises
+    IdentityViolation.  The identity implies the affine two-term
+    recurrence: subtracting it at n = p-2 from it at n = p-1 gives
+    u[p] - u[p-1] = S_{p-1} - S_{p-2} + 2 = u[p-2] + 2 for every p in
+    2..n_max, so that recurrence needs no check of its own.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -51,10 +54,6 @@ def pi_window(m: int, n_max: int) -> SeqWindow:
             raise IdentityViolation(
                 f"running-sum identity failed at m={m}, n={n}")
         s += u[n]
-    for p in range(2, n_max + 1):
-        if u[p] != u[p - 1] + u[p - 2] + 2:
-            raise IdentityViolation(
-                f"two-term affine recurrence failed at m={m}, p={p}")
     return w
 
 

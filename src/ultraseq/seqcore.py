@@ -722,7 +722,12 @@ def to_json(w: SeqWindow) -> str:
 
 
 def from_json(text: str) -> SeqWindow:
-    return from_document(json.loads(text))
+    """The window a JSON document describes; nesting past the recursion
+    limit, in the parser or in a refused field's repr, is a ValueError."""
+    try:
+        return from_document(json.loads(text))
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
 
 
 def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> str:
@@ -737,7 +742,11 @@ def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> st
 
 
 def from_csv(text: str) -> SeqWindow:
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if rows[:1] != [["index", "value"]]:
         raise ValueError("expected 'index,value' header")
     fields = rows[1:]

@@ -1,12 +1,13 @@
 """Sequence transformations: the six-slot map H, its specialization O,
 the classical linear map G with its eigen-recurrence, and the shift L.
 
-Each application computes exactly those output positions whose input
-references are defined.  A periodic tail maps to a tail of the same
-period: over a margin (``seqcore._margins``) whose two outermost periods
-read only the tail, ``seqcore._assemble`` compares one period with the
-next and, if they agree, makes it the output's tail; otherwise the output
-side becomes undefined.
+Each map is one column pass over the input positions ``seqcore._margins``
+gives: one read of the input, then one ``seqcore._assemble``.  Each
+application computes exactly those output positions whose input references
+are defined.  A periodic tail maps to a tail of the same period: over a
+margin whose two outermost periods read only the tail, ``_assemble``
+compares one period with the next and, if they agree, makes it the
+output's tail; otherwise the output side becomes undefined.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .seqcore import (
     _assemble,
     _column,
     _margins,
+    _signed_prefix,
     check_window_len,
     o_successors,
-    range_sum,
     sign,
 )
 
@@ -70,52 +71,38 @@ class GParams:
     q: int
 
 
-# --- generic application machinery -------------------------------------------
-
-def _apply_pointwise(w: SeqWindow,
-                     compute: Callable[[int], int],
-                     out_offset: int = 1) -> SeqWindow:
-    """Build the output window of a shift-invariant pointwise transformation.
-
-    ``compute(p)`` evaluates the output value at position ``p + out_offset``
-    from ``w`` and raises OutOfDomain when a reference is missing.  A range
-    over the cap is refused before any position of it is evaluated.
-    """
-    p_lo, p_hi = _margins(w)
-    check_window_len(p_hi - p_lo + 1, "range")
-    computed: list[Optional[int]] = []
-    for p in range(p_lo, p_hi + 1):
-        try:
-            computed.append(compute(p))
-        except OutOfDomain:
-            computed.append(None)
-    return _assemble(w, computed, p_lo, out_offset)
-
-
 # --- the transformations ------------------------------------------------------
 
 def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
-    """The six-slot map.  When the slot step f5*sign(u) is +1 or -1 the
-    summands form one contiguous range of positions, so a value is one
-    ``range_sum`` in O(1); other steps sum one lookup per summand.  A tail
-    is carried exactly only when no slot reads p: else the map is not
-    shift-invariant, and ``_assemble``, which compares only one input period
-    with the next, may keep a wrong tail."""
-    def compute(p: int) -> int:
-        u = w.value_at(p)
-        a, b = h.f1(p, u), h.f2(p, u)
+    """The six-slot map: the heads from one slice of the margin range, the
+    sums off one signed prefix sum G.  With f1 < f2 and a slot step
+    f5*sign(u) of +1 or -1 the summands are one range [s, t), summed as
+    G(t) - G(s); other steps sum one lookup per summand.  A tail is carried
+    exactly only when no slot reads p: else the map is not shift-invariant,
+    and ``_assemble``, which compares one input period with the next, may
+    keep a wrong tail."""
+    a0, b0 = _margins(w)
+    G = _signed_prefix(w.lo, w._prefix, w.left, w.right)
+    f1, f2, f3, f4, f5, f6 = h.f1, h.f2, h.f3, h.f4, h.f5, h.f6
+    col: list[Optional[int]] = []
+    for p, u in zip(range(a0, b0 + 1), w.slice(a0, b0)):
+        a, b = f1(p, u), f2(p, u)
         if b < a:
             raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
-        c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
-        step = e * sign(u)
-        base = p * d
-        if step == 1:  # indices base - a down to base - b + 1
-            return c * range_sum(w, base - b + 1, base - a) + f * (b - a)
-        if step == -1:  # indices base + a up to base + b - 1
-            return c * range_sum(w, base + a, base + b - 1) + f * (b - a)
-        return sum(c * w.value_at(base - i * step) + f for i in range(a, b))
-
-    return _apply_pointwise(w, compute, out_offset=1)
+        c, d, e, f = f3(p, u), f4(p, u), f5(p, u), f6(p, u)
+        step, base = e * sign(u), p * d
+        try:
+            if a < b and step == 1:  # indices base - b + 1 .. base - a
+                total = G(base - a + 1) - G(base - b + 1)
+            elif a < b and step == -1:  # indices base + a .. base + b - 1
+                total = G(base + b) - G(base + a)
+            else:
+                total = sum(w.value_at(base - i * step) for i in range(a, b))
+        except OutOfDomain:
+            col.append(None)
+            continue
+        col.append(c * total + f * (b - a))
+    return _assemble(w, col, a0, 1)
 
 
 def apply_O(w: SeqWindow) -> SeqWindow:

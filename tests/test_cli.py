@@ -180,6 +180,23 @@ class TestVerify:
         assert err == (f"error: line {line}: expected 'index,value', got "
                        f"{fields} fields\n")
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--range", "0..0"], ["export", "--format", "json"]])
+    @pytest.mark.parametrize("name, text, message", [
+        ("deep.json", "[" * 100_000, "JSON document is nested too deeply"),
+        ("deep.json", '{"lo": 0, "values": ' + "[" * 5000 + "]" * 5000 + "}",
+         "JSON document is nested too deeply"),
+        ("long.csv",
+         "index,value\n0,1\n1," + "9" * (csv.field_size_limit() + 1) + "\n",
+         f"line 3: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["unclosed", "in-values", "long-field"])
+    def test_deep_or_oversized_input_is_one_error_line(
+            self, capsys, tmp_path, command, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_document_values_may_be_json_integers(self, capsys, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({
