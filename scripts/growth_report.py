@@ -3,11 +3,13 @@
 
 For each left-tail parameter m, the dominant root of x^2 = xi*x + (2 - xi)
 with xi = 2 - 1/(2m+1) predicts consecutive-value ratios; this prints the
-exact values, the model predictions, and the relative errors.
+exact values, the model's exact predictions (shown to two places), and the
+relative errors.
 """
 import argparse
 
 from ultraseq import TauConfig, approx_report, composite_row, omega_slice
+from ultraseq.exactmath import fixed_point
 
 ROWS = {
     1: (TauConfig(1, {5}, {1}), ()),
@@ -35,7 +37,7 @@ def main() -> None:
               f"(relative error {report.ratio_rel_error:.4%})")
         for entry in report.rows:
             print(f"  r={entry.r}: exact={entry.exact:<12d} "
-                  f"predicted={entry.predicted:<14.2f} "
+                  f"predicted={fixed_point(entry.predicted, 2):<14} "
                   f"rel_error={entry.rel_error:.4%}")
         print()
 

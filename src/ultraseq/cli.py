@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from . import families, reference, seqcore
 from .errors import UltraseqError
+from .exactmath import fixed_point
 from .families import (
     approx_report,
     build_family,
@@ -244,19 +245,17 @@ def _cmd_approx(args) -> tuple[str, int]:
         raise ValueError("--rmax must be >= 0")
     w = family.window(0, args.base + args.rmax + 2)
     report = approx_report(w, family.growth_m, args.base, args.rmax)
-    if args.format == "table":
-        lines = [f"xi = {report.model.xi}, phi_m = {report.model.phi_m:.6f}",
-                 f"empirical ratio = {report.empirical_ratio:.6f} "
-                 f"(relative error {report.ratio_rel_error:.4%})"]
-        for row in report.rows:
-            lines.append(f"r={row.r}  predicted={row.predicted:.3f}  "
-                         f"exact={row.exact}  rel_error={row.rel_error:.4%}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _render(("r", "predicted", "exact", "rel_error"),
-                       [(row.r, row.predicted, str(row.exact), row.rel_error)
-                        for row in report.rows], args.format)
-    return text, 0
+    rows = [(row.r, fixed_point(row.predicted, 3), str(row.exact),
+             row.rel_error) for row in report.rows]
+    if args.format != "table":
+        return _render(("r", "predicted", "exact", "rel_error"), rows,
+                       args.format), 0
+    lines = [f"xi = {report.model.xi}, phi_m = {report.model.phi_m:.6f}",
+             f"empirical ratio = {report.empirical_ratio:.6f} "
+             f"(relative error {report.ratio_rel_error:.4%})"]
+    lines += [f"r={r}  predicted={p}  exact={e}  rel_error={x:.4%}"
+              for r, p, e, x in rows]
+    return "\n".join(lines) + "\n", 0
 
 
 def _cmd_reference(args) -> tuple[str, int]:

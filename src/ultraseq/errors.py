@@ -86,4 +86,4 @@ class IndexUnderflow(UltraseqError):
 
 
 class DegenerateBase(UltraseqError):
-    """The two-point approximation system could not be solved consistently."""
+    """The growth model's base value is 0: the row has no growth to fit."""

@@ -7,8 +7,9 @@ by three plain integers (p, q, d), meaning (p + q*sqrt 5)/d, kept canonical
 and one gcd.  Its rational components a = p/d and b = q/d are available as
 ``fractions.Fraction`` properties.  ``QuadExt`` is the workhorse behind every
 golden-ratio closed form; ``closed_form_affine_row`` evaluates a whole row of
-one in a single pass.  No floating point is used anywhere in this module
-except ``float(QuadExt)``, for display.
+one in a single pass.  ``fixed_point`` renders an exact rational as
+decimal text.  No floating point is used anywhere in this module except
+``float(QuadExt)``, for display.
 """
 from __future__ import annotations
 
@@ -252,3 +253,11 @@ def closed_form_affine(a0: int, a1: int, eps: int, n: int) -> int:
     """n-th term of L_0 = a0, L_1 = a1, L_n = L_{n-1} + L_{n-2} + eps: the
     one-term row of ``closed_form_affine_row``."""
     return closed_form_affine_row(a0, a1, eps, n, n)[0]
+
+
+def fixed_point(x: Scalar, places: int) -> str:
+    """``x`` as decimal text with ``places`` digits after the point, rounded
+    half to even on the exact value, so no size overflows."""
+    n = round(Fraction(x) * 10 ** places)
+    q, r = divmod(abs(n), 10 ** places)
+    return "-" * (n < 0) + str(q) + (f".{r:0{places}d}" if places else "")

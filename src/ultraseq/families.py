@@ -10,6 +10,7 @@ import math
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
@@ -464,43 +465,41 @@ class ApproxModel:
     m: int
     xi: Fraction
     phi_m: float
-    kappa_plus: float
-    kappa_minus: float
     base_n: int
     u_n: int
     u_n1: int
 
 
 def build_approx_model(m: int, base_n: int, u_n: int, u_n1: int) -> ApproxModel:
-    """Two-point growth model from consecutive exact values u_n, u_{n+1}."""
+    """Two-point growth model through consecutive exact values u_n, u_{n+1};
+    ``phi_m`` is a float for display only."""
     if m < 1:
         raise ValueError("m must be >= 1")
     xi = Fraction(2) - Fraction(1, 2 * m + 1)
-    xif = float(xi)
-    disc = math.sqrt((xif - 2) ** 2 + 4)
-    phi = (xif + disc) / 2
-    kappa_plus = (u_n1 - (xif - phi) * u_n) / disc
-    kappa_minus = (phi * u_n - u_n1) / disc
-    model = ApproxModel(m, xi, phi, kappa_plus, kappa_minus, base_n, u_n, u_n1)
-    for r, exact in ((0, u_n), (1, u_n1)):
-        pred = approx_predict(model, r)
-        if abs(pred - exact) > 1e-9 * max(1.0, abs(float(exact))):
-            raise DegenerateBase(
-                f"two-point system inconsistent at r={r}: {pred} vs {exact}")
-    return model
+    phi = (float(xi) + math.sqrt((float(xi) - 2) ** 2 + 4)) / 2
+    return ApproxModel(m, xi, phi, base_n, u_n, u_n1)
 
 
-def approx_predict(a: ApproxModel, r: int) -> float:
+def _predictions(a: ApproxModel) -> abc.Iterator[Fraction]:
+    """P(r) for r = 0, 1, ...: the sum of multiples of phi^r and psi^r, the
+    roots of x^2 = xi*x + (2 - xi), through P(0) = u_n and P(1) = u_{n+1}.
+    It obeys P(r+2) = xi*P(r+1) + (2 - xi)*P(r), so each value is exact."""
+    p, q = Fraction(a.u_n), Fraction(a.u_n1)
+    while True:
+        yield p
+        p, q = q, a.xi * q + (2 - a.xi) * p
+
+
+def approx_predict(a: ApproxModel, r: int) -> Fraction:
     if r < 0:
         raise ValueError("r must be >= 0")
-    return (a.kappa_plus * a.phi_m ** r
-            + a.kappa_minus * (float(a.xi) - a.phi_m) ** r)
+    return next(islice(_predictions(a), r, None))
 
 
 @dataclass(frozen=True)
 class ApproxReportRow:
     r: int
-    predicted: float
+    predicted: Fraction
     exact: int
     rel_error: float
 
@@ -520,19 +519,15 @@ def approx_report(w: SeqWindow, m: int, base_n: int, r_max: int) -> ApproxReport
     """Compare two-point predictions against exact values of a window."""
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    u_n, u_n1 = w.value_at(base_n), w.value_at(base_n + 1)
-    if u_n == 0:
+    exact = w.slice(base_n, base_n + max(r_max, 1))
+    if exact[0] == 0:
         raise DegenerateBase(
             f"value at base index {base_n} is 0: the row has no growth to fit")
-    model = build_approx_model(m, base_n, u_n, u_n1)
-    rows = []
-    for r in range(r_max + 1):
-        exact = w.value_at(base_n + r)
-        pred = approx_predict(model, r)
-        rel = abs(pred - exact) / max(1.0, abs(float(exact)))
-        rows.append(ApproxReportRow(r, pred, exact, rel))
-    ratio = u_n1 / u_n
-    return ApproxReport(model, tuple(rows), ratio)
+    model = build_approx_model(m, base_n, *exact[:2])
+    rows = tuple(ApproxReportRow(r, p, u, float(abs(p - u) / max(1, abs(u))))
+                 for r, p, u in zip(range(r_max + 1), _predictions(model),
+                                    exact))
+    return ApproxReport(model, rows, model.u_n1 / model.u_n)
 
 
 # --- the shift-eigen periodic family ------------------------------------------------

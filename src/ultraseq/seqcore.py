@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import os
+import reprlib
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -687,7 +688,7 @@ def _rule_from_json(d: dict) -> ExtRule:
         return None
     if kind == "periodic":
         return Periodic(_int_items(d, "unit"))
-    raise ValueError(f"unknown extension rule kind: {kind!r}")
+    raise ValueError(f"unknown extension rule kind: {reprlib.repr(kind):.80}")
 
 
 def to_document(w: SeqWindow) -> dict:
@@ -708,7 +709,8 @@ def from_document(d: dict) -> SeqWindow:
         raise ValueError("a sequence document must be a JSON object, got "
                          f"{type(d).__name__}")
     if type(d.get("lo")) is not int:
-        raise ValueError(f"'lo' must be an integer, got {d.get('lo')!r}")
+        raise ValueError("'lo' must be an integer, got "
+                         f"{reprlib.repr(d.get('lo')):.80}")
     return SeqWindow(
         d["lo"],
         _int_items(d, "values"),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from ultraseq import cli
 from ultraseq.cli import dispatch
 from ultraseq.families import build_family
 from ultraseq.seqcore import from_json, to_json
+
+UNDEF = {"kind": "undefined"}
 
 
 def run(capsys, *argv):
@@ -197,6 +200,20 @@ class TestVerify:
         code, out, err = run(capsys, *command, "--input", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("doc", [
+        {"lo": "7" * 5000, "values": [], "left": UNDEF, "right": UNDEF},
+        {"lo": [[["x" * 5000] * 9] * 9], "values": []},
+        {"lo": 0, "values": ["1"], "left": {"kind": "k" * 5000},
+         "right": UNDEF},
+    ], ids=["long-lo", "wide-lo", "long-kind"])
+    def test_refused_field_is_echoed_in_brief(self, capsys, tmp_path, doc):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--input", str(path),
+                             "--range", "0..0")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and len(err) <= 200
+
     def test_document_values_may_be_json_integers(self, capsys, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({
@@ -294,6 +311,33 @@ class TestApproxAndReference:
         assert [row["exact"] for row in rows[:3]] == ["321", "589", "1096"]
         assert float(rows[1]["predicted"]) == pytest.approx(589)
         assert float(rows[2]["rel_error"]) == pytest.approx(0.006691, rel=1e-3)
+
+    @pytest.mark.parametrize("base", [1500, 1700])
+    def test_approx_past_float_range(self, capsys, base):
+        code, out, err = run(capsys, "approx", "--family",
+                             "composite:left=tau:m=1,P=5,N=1,seed=1",
+                             "--base", str(base), "--rmax", "6")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[2:]
+        assert len(rows) == 7
+        for r, line in enumerate(rows):
+            fields = dict(f.split("=") for f in line.split())
+            exact = int(fields["exact"])
+            assert int(fields["r"]) == r and exact > 2 ** 1024
+            assert 20 * abs(Fraction(fields["predicted"]) - exact) <= exact
+
+    def test_approx_base_values_are_printed_exactly(self, capsys):
+        # the model passes through the two base values, so at r = 0 and 1
+        # it prints them, however many digits they have
+        code, out, _ = run(capsys, "approx", "--family",
+                           "composite:left=tau:m=1,P=5,N=1,seed=1",
+                           "--base", "600", "--rmax", "2")
+        assert code == 0
+        for r, line in enumerate(out.splitlines()[2:4]):
+            exact = line.split("exact=")[1].split()[0]
+            assert len(exact) > 100
+            assert line == (f"r={r}  predicted={exact}.000  exact={exact}  "
+                            "rel_error=0.0000%")
 
     def test_approx_on_collapsed_row_is_a_usage_error(self, capsys):
         # this row collapses to zeros at index 4: no growth to fit

@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -409,3 +410,38 @@ class TestClosedFormAffine:
         for n in range(lo, hi + 1):
             beta * quad_pow(PHI, n) + gamma * quad_pow(PSI, n)
         assert calls[0] > 2 * (hi - lo) + ROW_LOG_MULS * hi.bit_length()
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("x, places, text", [
+        (321, 3, "321.000"), (Fraction(3266, 3), 3, "1088.667"),
+        (Fraction(1, 8), 2, "0.12"), (Fraction(3, 8), 2, "0.38"),
+        (Fraction(5, 2), 0, "2"), (Fraction(7, 2), 0, "4"),
+        (Fraction(-1, 8), 2, "-0.12"), (Fraction(-3, 8), 2, "-0.38"),
+        (Fraction(-1, 2000), 3, "0.000"), (Fraction(-3, 2000), 3, "-0.002"),
+        (Fraction(-22, 7), 3, "-3.143"), (0, 3, "0.000"), (-5, 1, "-5.0"),
+        (Fraction(1, 3), 12, "0.333333333333"),
+    ])
+    def test_rounds_half_to_even_on_the_exact_value(self, x, places, text):
+        assert exactmath.fixed_point(x, places) == text
+
+    @given(st.fractions(max_denominator=10 ** 6), st.integers(0, 6))
+    def test_agrees_with_decimal(self, x, places):
+        exact = Context(prec=200)
+        want = exact.divide(x.numerator, x.denominator).quantize(
+            Decimal(1).scaleb(-places), ROUND_HALF_EVEN, exact)
+        # the renderer writes no negative zero
+        assert exactmath.fixed_point(x, places) == str(abs(want) if want == 0
+                                                       else want)
+
+    def test_a_value_past_float_range(self):
+        big = 7 ** 500  # 423 digits
+        x = Fraction(3 * big + 1, 3)
+        assert exactmath.fixed_point(x, 3) == f"{big}.333"
+        assert exactmath.fixed_point(-x, 3) == f"-{big}.333"
+        # ties: big is odd, so big + 1/2 rounds up to the even neighbour
+        assert exactmath.fixed_point(Fraction(2 * big + 1, 2), 0) == str(big + 1)
+        assert exactmath.fixed_point(Fraction(2000 * big + 1, 2000),
+                                     3) == f"{big}.000"
+        assert exactmath.fixed_point(Fraction(2000 * big + 3, 2000),
+                                     3) == f"{big}.002"

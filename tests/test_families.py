@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -437,13 +438,47 @@ class TestApproxModel:
 
     def test_predictions_interpolate_base_exactly(self):
         model = build_approx_model(1, 7, 174, 321)
-        assert approx_predict(model, 0) == pytest.approx(174)
-        assert approx_predict(model, 1) == pytest.approx(321)
+        assert approx_predict(model, 0) == 174
+        assert approx_predict(model, 1) == 321
+        assert approx_predict(model, 2) == Fraction(5 * 321 + 174, 3)
+
+    @staticmethod
+    def float_model(m, u_n, u_n1, r):
+        """The model in floats, through its constants kappa+ and kappa-."""
+        xi = 2 - 1 / (2 * m + 1)
+        disc = math.sqrt((xi - 2) ** 2 + 4)
+        phi = (xi + disc) / 2
+        kappa_plus = (u_n1 - (xi - phi) * u_n) / disc
+        kappa_minus = (phi * u_n - u_n1) / disc
+        return kappa_plus * phi ** r + kappa_minus * (xi - phi) ** r
+
+    @settings(max_examples=50, deadline=None)
+    @given(u_n=st.integers(1, 2 ** 42),
+           ratio=st.fractions(1, 2, max_denominator=1000))
+    def test_predictions_agree_with_the_float_model(self, u_n, ratio):
+        # a growing row rises by a ratio between 1 and 2, so every value
+        # stays below 2^50 and the float sum does not cancel
+        u_n1 = round(u_n * ratio)
+        for m in range(1, 5):
+            model = build_approx_model(m, 0, u_n, u_n1)
+            for r in range(9):
+                exact = approx_predict(model, r)
+                assert type(exact) is Fraction and exact < 2 ** 50
+                assert float(exact) == pytest.approx(
+                    self.float_model(m, u_n, u_n1, r), rel=1e-9)
 
     def test_report_on_generated_row(self):
         row = composite_row(TauConfig(1, {5}, {1}), (), 1, 14)
         report = approx_report(row, 1, 8, 6)
         assert report.ratio_rel_error < 0.01
+        assert max(r.rel_error for r in report.rows) < 0.05
+
+    def test_report_past_float_range(self):
+        row = composite_row(TauConfig(1, {5}, {1}), (), 1, 1510)
+        report = approx_report(row, 1, 1500, 8)
+        assert [r.exact for r in report.rows] == row.slice(1500, 1508)
+        assert report.rows[0].exact > 2 ** 1024
+        assert [r.rel_error for r in report.rows[:2]] == [0.0, 0.0]
         assert max(r.rel_error for r in report.rows) < 0.05
 
     def test_report_on_collapsed_row(self):
