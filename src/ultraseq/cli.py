@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import families, reference, seqcore
-from .errors import UltraseqError
+from .errors import UltraseqError, brief
 from .exactmath import fixed_point
 from .families import (
     approx_report,
@@ -239,8 +239,8 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 def _cmd_approx(args) -> tuple[str, int]:
     family = parse_family(args.family)
     if family.growth_m is None:
-        raise ValueError(f"family {args.family!r} has no periodic left tail "
-                         "to approximate")
+        raise ValueError(f"family {brief(args.family)} has no periodic left "
+                         "tail to approximate")
     if args.rmax < 0:
         raise ValueError("--rmax must be >= 0")
     w = family.window(0, args.base + args.rmax + 2)

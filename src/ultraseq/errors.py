@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cut that keeps an
+echoed input short in their messages."""
+import reprlib
+
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxlong = 80
+
+
+def clip(text: str, limit: int = 80) -> str:
+    """``text`` as is when it has at most ``limit`` characters, else its two
+    ends around "...", ``limit`` characters in all."""
+    if len(text) <= limit:
+        return text
+    head = (limit - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (limit - 3 - head):]}"
+
+
+def brief(value) -> str:
+    """``repr(value)`` for a one-line error message: ``reprlib`` keeps the
+    ends of a long string or integer and the first items of a long or deep
+    container, and the text is clipped to 80 characters."""
+    return clip(_REPR.repr(value))
 
 
 class UltraseqError(Exception):

@@ -10,10 +10,17 @@ import math
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
-from .errors import DegenerateBase, IdentityViolation, InvalidConfig, TooLarge
+from .errors import (
+    DegenerateBase,
+    IdentityViolation,
+    InvalidConfig,
+    TooLarge,
+    brief,
+    clip,
+)
 from .exactmath import closed_form_affine_row, fib, lucas
 from .seqcore import (
     MAX_WINDOW_ENV,
@@ -361,44 +368,51 @@ def _plain_descriptors(m: int) -> list[str]:
     return out
 
 
+#: a slot read as one token, its gap of -2s then the next slot's sign, as a
+#: character indexed by the gap; token order is then unit order:
+#: (1,-) < (2,-) < (3,-) < (3,+) < (2,+) < (1,+)
+_MINUS_TOKEN, _PLUS_TOKEN = " abc", " fed"
+#: how far each token moves on to the next slot: its gap plus one
+_STEP = {"a": 2, "b": 3, "c": 4, "d": 4, "e": 3, "f": 2}
+
+
 def _canonical_descriptors(m: int) -> list[str]:
-    """One placement per rotation class, the least rotation of its unit: a
-    depth-first search writes the units in order with the content fixed
-    and the Fredricksen-Kessler-Maiorana prenecklace rule a[t] >= a[t-p],
-    and emits the prenecklaces whose p divides the period."""
-    period = 4 * m + 2
-    symbols = (-period, -2, period)
-    left = dict(zip(symbols, (m, 2 * m + 2, m)))
-    placed = {v: [] for v in symbols}  # the 1-based positions of each value
-    unit = [0] * period
+    """One placement per rotation class, the least rotation of its unit.
+
+    The 2m placements split the 2m+2 values -2 into 2m gaps of at least
+    one: one gap of 3 and the others 1 (d = 0 below), or two gaps of 2 at
+    cyclic distance d = 1..m.  Each gap pattern, held in place, with each
+    sign word of m minuses from ``combinations`` is a candidate class; only
+    at d = m are two of them one class (a word and its half turn), which
+    the set merges.  A unit read from a -(4m+2) on is its tokens, so its
+    least rotation is its least token rotation that starts right after a
+    "-" token: one ``min`` over m slices of the doubled tokens.
+    """
+    n = 2 * m
+    classes = set()
+    for d in range(m + 1):
+        gaps = [1] * n  # two more -2s, in gaps n-1-d and n-1
+        gaps[n - 1 - d] += 1
+        gaps[n - 1] += 1
+        minus = [_MINUS_TOKEN[g] for g in gaps]
+        plus = [_PLUS_TOKEN[g] for g in gaps]
+        for negs in combinations(range(n), m):
+            word = plus[:]
+            for i in negs:
+                word[i] = minus[i]
+            tokens = "".join(word) * 2
+            classes.add(min([tokens[i + 1:i + 1 + n] for i in negs]))
+    names = [str(j) for j in range(4 * m + 3)]
     out = []
-
-    def extend(t: int, p: int) -> None:
-        prev = unit[t - 1] if t else -2
-        # each placement still to write, and one at t-1, needs a -2 right
-        # after it: one still to write or, wrapping, the one at position 0;
-        # at the leaf this is the wrap-around adjacency check
-        if (left[-period] + left[period] + (prev != -2)
-                > left[-2] + (unit[0] == -2)):
-            return
-        if t == period:
-            if period % p == 0:
-                out.append(f"tau:m={m},P={';'.join(map(str, placed[period]))}"
-                           f",N={';'.join(map(str, placed[-period]))}")
-            return
-        floor = unit[t - p] if t else -period
-        for v in symbols:
-            if v < floor or not left[v] or (v != -2 and prev != -2):
-                continue
-            unit[t] = v
-            left[v] -= 1
-            placed[v].append(t + 1)
-            extend(t + 1, p if v == floor else t + 1)
-            placed[v].pop()
-            left[v] += 1
-
-    extend(0, 1)
-    del extend  # it refers to itself: free it without the cycle collector
+    for tokens in sorted(classes):
+        at, p, neg = 1, [], ["1"]  # the first slot is a -(4m+2) at 1
+        for t in tokens[:-1]:
+            at += _STEP[t]
+            if t < "d":
+                neg.append(names[at])
+            else:
+                p.append(names[at])
+        out.append(f"tau:m={m},P={';'.join(p)},N={';'.join(neg)}")
     return out
 
 
@@ -408,7 +422,8 @@ def tau_enumerate(m: int, canonical: bool = False) -> Placements:
 
     Plain placements join precomputed half units (``_plain_descriptors``),
     so after O(halves) set-up each costs one string join; ``canonical``
-    runs a necklace search (``_canonical_descriptors``).  Each placement is
+    builds each rotation class from its gap pattern and sign word
+    (``_canonical_descriptors``), with no search.  Each placement is
     written as its descriptor once; ``TauConfig`` objects are built only
     when items of the returned ``Placements`` are read.
     """
@@ -579,10 +594,10 @@ def parse_range(text: str) -> tuple[int, int]:
     """Inclusive index range written ``a..b``."""
     a, sep, b = text.partition("..")
     if not sep:
-        raise ValueError(f"range must look like 'a..b', got {text!r}")
+        raise ValueError(f"range must look like 'a..b', got {brief(text)}")
     lo, hi = int(a), int(b)
     if lo > hi:
-        raise ValueError(f"range start {lo} exceeds end {hi}")
+        raise ValueError(f"range start {brief(lo)} exceeds end {brief(hi)}")
     return lo, hi
 
 
@@ -594,7 +609,7 @@ def _body(kind: str, text: str) -> str:
     """The body of a value that must be a ``kind:...`` descriptor."""
     head, _, body = text.partition(":")
     if head != kind:
-        raise ValueError(f"expected {kind}:..., got {text!r}")
+        raise ValueError(f"expected {kind}:..., got {brief(text)}")
     return body
 
 
@@ -657,8 +672,8 @@ def parse_family(text: str) -> Family:
     """
     kind, _, body = text.partition(":")
     if kind not in _KEYS:
-        raise ValueError(f"unknown family descriptor {text!r}; kinds are "
-                         f"{', '.join(_KEYS)}")
+        raise ValueError(f"unknown family descriptor {brief(text)}; kinds "
+                         f"are {', '.join(_KEYS)}")
     keys, raw, last = _KEYS[kind], {}, None
     try:
         for part in map(str.strip, body.split(",") if body else []):
@@ -668,8 +683,8 @@ def parse_family(text: str) -> Family:
             elif last and (not eq or "=" in raw[last]):
                 raw[last] += "," + part
             else:
-                raise ValueError(
-                    f"{'repeated' if key in raw else 'unknown'} key {key!r}")
+                raise ValueError(f"{'repeated' if key in raw else 'unknown'}"
+                                 f" key {brief(key)}")
         missing = [k for k in keys if k not in raw and k not in _OPTIONAL]
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
@@ -677,8 +692,8 @@ def parse_family(text: str) -> Family:
     except ValueError as exc:
         accepted = ", ".join(k + " (optional)" * (k in _OPTIONAL)
                              for k in keys)
-        raise ValueError(f"bad descriptor {text!r}: {exc}; {kind} takes "
-                         f"{accepted}") from None
+        raise ValueError(f"bad descriptor {brief(text)}: {clip(str(exc))}; "
+                         f"{kind} takes {accepted}") from None
     config = (TauConfig(v["m"], v["P"], v["N"]) if kind == "tau" else
               OPowerConfig(v["r"], v["unit"]) if kind == "opower" else None)
     return Family(kind, v, config)

@@ -14,12 +14,11 @@ import json
 import math
 import operator
 import os
-import reprlib
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     OutOfDomain,
     TooLarge,
     WindowTooSmall,
+    brief,
 )
 
 MAX_WINDOW_ENV = "ULTRASEQ_MAX_WINDOW"
@@ -74,11 +74,11 @@ class Periodic:
     def period(self) -> int:
         return len(self.unit)
 
-    def take(self, t0: int, t1: int) -> tuple[int, ...]:
-        """unit[t % period] for t in t0..t1, by one repeat and one slice."""
-        n = t1 - t0 + 1
+    def take(self, t0: int, t1: int) -> Iterator[int]:
+        """unit[t % period] for t in t0..t1, read off the cycling unit: no
+        repeat of the unit is built."""
         r = t0 % self.period
-        return (self.unit * ((r + n) // self.period + 1))[r:r + n]
+        return islice(cycle(self.unit), r, r + t1 - t0 + 1)
 
 
 def constant(value: int) -> Periodic:
@@ -213,14 +213,18 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
 
 def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     """Values at positions a..b, None at each undefined one: one ``slice``
-    of the defined part, padded on either side.  A range over the cap is
-    refused before anything is built."""
+    of the defined part, padded on either side, or that slice itself when
+    the whole range is defined.  A range over the cap is refused before
+    anything is built."""
     check_window_len(b - a + 1, "range")
     da = max(a, w.lo) if w.left is None else a
     db = min(b, w.hi) if w.right is None else b
     if da > db:
         return [None] * (b - a + 1)
-    return [None] * (da - a) + w.slice(da, db) + [None] * (b - db)
+    col = w.slice(da, db)
+    if da == a and db == b:
+        return col
+    return [None] * (da - a) + col + [None] * (b - db)
 
 
 # --- shift-invariant maps ----------------------------------------------------
@@ -688,7 +692,7 @@ def _rule_from_json(d: dict) -> ExtRule:
         return None
     if kind == "periodic":
         return Periodic(_int_items(d, "unit"))
-    raise ValueError(f"unknown extension rule kind: {reprlib.repr(kind):.80}")
+    raise ValueError(f"unknown extension rule kind: {brief(kind)}")
 
 
 def to_document(w: SeqWindow) -> dict:
@@ -709,8 +713,7 @@ def from_document(d: dict) -> SeqWindow:
         raise ValueError("a sequence document must be a JSON object, got "
                          f"{type(d).__name__}")
     if type(d.get("lo")) is not int:
-        raise ValueError("'lo' must be an integer, got "
-                         f"{reprlib.repr(d.get('lo')):.80}")
+        raise ValueError(f"'lo' must be an integer, got {brief(d.get('lo'))}")
     return SeqWindow(
         d["lo"],
         _int_items(d, "values"),

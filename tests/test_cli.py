@@ -13,6 +13,7 @@ import pytest
 
 from ultraseq import cli
 from ultraseq.cli import dispatch
+from ultraseq.errors import brief, clip
 from ultraseq.families import build_family
 from ultraseq.seqcore import from_json, to_json
 
@@ -436,6 +437,42 @@ class TestFamilyDescriptors:
     def test_approx_needs_a_periodic_left_tail(self, capsys):
         code, _, err = run(capsys, "approx", "--family", "pi:m=1")
         assert code == 2 and "no periodic left tail" in err
+
+    @pytest.mark.parametrize("argv", [
+        "approx --family pi:m={big}",
+        "gen --family zz:{big} --range 0..1",
+        "gen --family pi:m={big}{big} --range 0..1",  # past int's digit limit
+        "gen --family pi:m=x{big} --range 0..1",
+        "gen --family pi:q{big}=1 --range 0..1",
+        "gen --family pi:m=1,m={big} --range 0..1",
+        "gen --family pi:m=1 --range {big}",
+        "gen --family pi:m=1 --range {big}..1",
+    ])
+    def test_long_descriptor_is_echoed_in_brief(self, capsys, argv):
+        argv = argv.format(big="9" * 3000).split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and len(err) <= 200
+
+    def test_clip_keeps_both_ends(self):
+        assert clip("x" * 80) == "x" * 80
+        assert clip("a" * 50 + "b" * 50) == "a" * 38 + "..." + "b" * 39
+        assert brief("a" * 50 + "b" * 50) == "'" + "a" * 37 + "..." + \
+            "b" * 38 + "'"
+
+    def test_nested_descriptor_error_does_not_grow_with_its_input(
+            self, capsys):
+        # a composite names its own keys after the nested error, so its
+        # line is longer, but it is the same for any length of input
+        lengths = set()
+        for digits in (100, 3000, 6000):
+            code, out, err = run(
+                capsys, "gen", "--family",
+                f"composite:left=tau:m=1,P=5,N=1,{'9' * digits}=2,seed=1",
+                "--range", "0..1")
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            lengths.add(len(err))
+        assert len(lengths) == 1 and lengths.pop() <= 250
 
     def test_pistar_over_the_cap_is_refused_before_it_is_built(self):
         # a 1.5 GB address-space limit: building the window would end in a

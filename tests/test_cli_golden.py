@@ -36,6 +36,44 @@ CLOSED_M7 = [(37, 231004434), (38, 373773027), (39, 604777463),
              (40, 978550492), (41, 1583327957), (42, 2561878451),
              (43, 4145206410), (44, 6707084863), (45, 10852291275)]
 CANONICAL_M1 = ["tau:m=1,P=5,N=1", "tau:m=1,P=4,N=1", "tau:m=1,P=3,N=1"]
+#: the 70 rotation classes of m = 3, in unit order
+CANONICAL_M3 = """
+tau:m=3,P=9;11;13,N=1;3;5 tau:m=3,P=8;11;13,N=1;3;5
+tau:m=3,P=8;10;13,N=1;3;5 tau:m=3,P=8;10;12,N=1;3;5
+tau:m=3,P=7;11;13,N=1;3;5 tau:m=3,P=7;10;13,N=1;3;5
+tau:m=3,P=7;10;12,N=1;3;5 tau:m=3,P=7;9;13,N=1;3;5
+tau:m=3,P=7;9;12,N=1;3;5 tau:m=3,P=7;9;11,N=1;3;5
+tau:m=3,P=9;11;13,N=1;3;6 tau:m=3,P=8;11;13,N=1;3;6
+tau:m=3,P=8;10;13,N=1;3;6 tau:m=3,P=8;10;12,N=1;3;6
+tau:m=3,P=9;11;13,N=1;3;7 tau:m=3,P=7;11;13,N=1;3;9
+tau:m=3,P=7;9;13,N=1;3;11 tau:m=3,P=6;11;13,N=1;3;8
+tau:m=3,P=6;10;13,N=1;3;8 tau:m=3,P=6;10;12,N=1;3;8
+tau:m=3,P=6;11;13,N=1;3;9 tau:m=3,P=6;9;13,N=1;3;11
+tau:m=3,P=6;8;13,N=1;3;10 tau:m=3,P=6;8;12,N=1;3;10
+tau:m=3,P=6;8;13,N=1;3;11 tau:m=3,P=6;8;10,N=1;3;12
+tau:m=3,P=5;11;13,N=1;3;7 tau:m=3,P=5;10;13,N=1;3;7
+tau:m=3,P=5;10;12,N=1;3;7 tau:m=3,P=5;9;13,N=1;3;7
+tau:m=3,P=5;9;12,N=1;3;7 tau:m=3,P=5;9;11,N=1;3;7
+tau:m=3,P=5;11;13,N=1;3;8 tau:m=3,P=5;10;13,N=1;3;8
+tau:m=3,P=5;10;12,N=1;3;8 tau:m=3,P=5;11;13,N=1;3;9
+tau:m=3,P=5;9;13,N=1;3;11 tau:m=3,P=5;8;13,N=1;3;10
+tau:m=3,P=5;8;12,N=1;3;10 tau:m=3,P=5;8;13,N=1;3;11
+tau:m=3,P=5;8;10,N=1;3;12 tau:m=3,P=5;7;13,N=1;3;9
+tau:m=3,P=5;7;12,N=1;3;9 tau:m=3,P=5;7;11,N=1;3;9
+tau:m=3,P=5;7;13,N=1;3;10 tau:m=3,P=5;7;12,N=1;3;10
+tau:m=3,P=5;7;13,N=1;3;11 tau:m=3,P=5;7;10,N=1;3;12
+tau:m=3,P=5;7;9,N=1;3;11 tau:m=3,P=5;7;9,N=1;3;12
+tau:m=3,P=9;11;13,N=1;4;7 tau:m=3,P=7;11;13,N=1;4;9
+tau:m=3,P=7;9;13,N=1;4;11 tau:m=3,P=6;11;13,N=1;4;8
+tau:m=3,P=6;10;13,N=1;4;8 tau:m=3,P=6;10;12,N=1;4;8
+tau:m=3,P=6;11;13,N=1;4;9 tau:m=3,P=6;9;13,N=1;4;11
+tau:m=3,P=6;8;13,N=1;4;10 tau:m=3,P=6;8;12,N=1;4;10
+tau:m=3,P=6;8;13,N=1;4;11 tau:m=3,P=7;11;13,N=1;5;9
+tau:m=3,P=7;9;13,N=1;5;11 tau:m=3,P=5;9;13,N=1;7;11
+tau:m=3,P=4;9;13,N=1;6;11 tau:m=3,P=4;8;12,N=1;6;10
+tau:m=3,P=4;8;13,N=1;6;11 tau:m=3,P=4;9;13,N=1;7;11
+tau:m=3,P=3;7;11,N=1;5;9 tau:m=3,P=3;7;12,N=1;5;10
+""".split()
 
 GOLDEN = [
     # gen
@@ -106,6 +144,12 @@ GOLDEN = [
      "descriptor\n" + "".join(f'"{d}"\n' for d in CANONICAL_M1)),
     ("enumerate --m 1 --canonical --format json", 0,
      _json({"count": 3, "configs": CANONICAL_M1})),
+    ("enumerate --m 3 --canonical", 0,
+     "\n".join(CANONICAL_M3) + "\n70 configurations\n"),
+    ("enumerate --m 3 --canonical --format csv", 0,
+     "descriptor\n" + "".join(f'"{d}"\n' for d in CANONICAL_M3)),
+    ("enumerate --m 3 --canonical --format json", 0,
+     _json({"count": 70, "configs": CANONICAL_M3})),
     ("enumerate --m 1", 0,
      "tau:m=1,P=5,N=1\ntau:m=1,P=4,N=1\ntau:m=1,P=3,N=1\ntau:m=1,P=6,N=2\n"
      "tau:m=1,P=5,N=2\ntau:m=1,P=4,N=2\ntau:m=1,P=6,N=3\ntau:m=1,P=5,N=3\n"

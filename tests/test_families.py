@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -374,6 +375,41 @@ class TestTauFamily:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_canonical_is_the_least_rotations_of_the_plain_units(self, m):
+        # the plain enumeration (joined half units) shares no code with the
+        # canonical construction (gap patterns and sign words)
+        least = sorted({min(u[t:] + u[:t] for t in range(len(u)))
+                        for u in (c.unit() for c in tau_enumerate(m))})
+        assert [c.unit() for c in tau_enumerate(m, canonical=True)] == least
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_canonical_builds_few_candidates_without_recursion(
+            self, m, monkeypatch):
+        # each candidate class costs one min over its rotations; a search
+        # would show up as repeated calls of a function of the module
+        mins, calls = [], []
+
+        def counted_min(rotations):
+            mins.append(1)
+            return min(rotations)
+
+        monkeypatch.setattr(families, "min", counted_min, raising=False)
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename == families.__file__
+                    and not code.co_name.startswith("<")):
+                calls.append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            got = families._canonical_descriptors(m)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["_canonical_descriptors"]
+        assert len(got) <= len(mins) <= (m + 1) * math.comb(2 * m, m)
 
 
 class TestOmega:

@@ -3,11 +3,13 @@ import gc
 import importlib
 import json
 import sys
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ultraseq import seqcore
 from ultraseq.errors import (
     IncompatibleShape,
     NonDeterministic,
@@ -84,6 +86,21 @@ class TestSeqWindow:
         with pytest.raises(TooLarge):
             SeqWindow(0, range(6))
         SeqWindow(0, range(5))  # at the cap is fine
+
+    def test_column_over_tails_peaks_near_its_own_size(self, monkeypatch):
+        # the tails are read off their cycling units and a column with no
+        # undefined position is the slice itself: no repeat, no copy
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW", raising=False)
+        unit = (-6, -2, -2, -2, 6, -2)
+        w = SeqWindow(1, unit, left=Periodic(unit), right=Periodic(unit))
+        tracemalloc.start()
+        try:
+            col = seqcore._column(w, -499_999, 499_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * len(col)
+        assert col == [unit[(k - 1) % 6] for k in range(-499_999, 500_000)]
 
     @given(windows, st.integers(min_value=-50, max_value=50))
     def test_defined_agrees_with_value_at(self, w, k):
