@@ -1,8 +1,20 @@
 """Exception types shared across the package, and the cut that keeps an
 echoed input short in their messages."""
+import math
 import reprlib
 
-_REPR = reprlib.Repr()
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past the digits ``str`` converts: count them
+            d = int(math.log10(abs(x))) + 1  # a float estimate, settled
+            d += (abs(x) >= 10 ** d) - (abs(x) < 10 ** (d - 1))
+            return f"<a {d}-digit integer>"
+
+
+_REPR = _Brief()
 _REPR.maxstring = _REPR.maxlong = 80
 
 
@@ -18,7 +30,8 @@ def clip(text: str, limit: int = 80) -> str:
 def brief(value) -> str:
     """``repr(value)`` for a one-line error message: ``reprlib`` keeps the
     ends of a long string or integer and the first items of a long or deep
-    container, and the text is clipped to 80 characters."""
+    container, an integer too long for ``str`` is named by its digit count,
+    and the text is clipped to 80 characters."""
     return clip(_REPR.repr(value))
 
 

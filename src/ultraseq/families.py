@@ -192,7 +192,7 @@ def _pi_star_right(m: int, n_max: int,
     while True:
         idx, j = len(right), (len(right) - 2) | 1  # j: the last odd index
         if reach is not None:
-            check_window_len(right[j] + 1, f"pistar m={m} window")
+            check_window_len(right[j] + 1, "pistar window")
         if idx > n_max:
             if reach is None or j - right[j] <= reach:
                 return right
@@ -248,13 +248,14 @@ class TauConfig:
         if m < 1:
             raise InvalidConfig("m must be >= 1")
         if len(self.pos) != m or len(self.neg) != m:
-            raise InvalidConfig(f"need exactly {m} positive and {m} negative "
-                                "placements")
+            raise InvalidConfig("need exactly m positive and m negative "
+                                f"placements, m = {brief(m)}")
         if self.pos & self.neg:
             raise InvalidConfig("placements must be disjoint")
         q = sorted(self.pos | self.neg)
         if not 1 <= q[0] <= q[-1] <= period:
-            raise InvalidConfig(f"placements must lie in [1, {period}]")
+            raise InvalidConfig("placements must lie in "
+                                f"[1, {brief(period)}]")
         for a, b in zip(q, q[1:] + [q[0] + period]):
             if b - a == 1:
                 raise InvalidConfig(f"placements {a} and {b % period or period}"
@@ -317,9 +318,9 @@ def _check_enumeration_size(m: int, canonical: bool) -> None:
     for k in range(1, m + 1):
         size = (2 * k + 1) ** 2 * math.comb(2 * k, k)
         if size * (1 if canonical else 4 * k + 2) > cap:
-            raise TooLarge(f"the m={m} enumeration outputs more than the cap "
-                           f"of {cap} values; raise {MAX_WINDOW_ENV} to "
-                           "override")
+            raise TooLarge(f"the m={brief(m)} enumeration outputs more than "
+                           f"the cap of {cap} values; raise {MAX_WINDOW_ENV} "
+                           "to override")
 
 
 def _halves(m: int, first: int) -> list[tuple]:
@@ -561,7 +562,8 @@ class OPowerConfig:
         if self.r < 1:
             raise InvalidConfig("r must be >= 1")
         if len(self.placement) != self.r:
-            raise InvalidConfig(f"placement must have length {self.r}")
+            raise InvalidConfig("placement must have length "
+                                f"{brief(self.r)}")
         if any(tok not in ("+", "-", "0") for tok in self.placement):
             raise InvalidConfig("placement tokens must be '+', '-' or '0'")
         if sum(self.unit()) != -(self.r + 1):

@@ -47,8 +47,8 @@ def check_window_len(size: int, what: str = "window") -> None:
     """Refuse ``size`` values over the cap, before they are built."""
     cap = max_window_len()
     if size > cap:
-        raise TooLarge(f"{what} of {size} values exceeds the cap ({cap}); "
-                       f"raise {MAX_WINDOW_ENV} to override")
+        raise TooLarge(f"{what} of {brief(size)} values exceeds the "
+                       f"cap ({cap}); raise {MAX_WINDOW_ENV} to override")
 
 
 def sign(x: int) -> int:
@@ -201,6 +201,28 @@ def _signed_prefix(lo: int, prefix: list[int], left: ExtRule,
     return G
 
 
+def _class_prefix(w: SeqWindow, e: int, r: int) -> Callable[[int], int]:
+    """G over the residue class j*e + r of ``w``, indexed by j, so that the
+    sum over j in [s, t) is G(t) - G(s): every e-th stored value from the
+    class's first, and on a periodic side of period q every e-th tail value,
+    a unit of period q / gcd(q, e) phased as a window phases its tails.
+    With e = 1 it is the window's own G, over ``w._prefix``."""
+    if e == 1:
+        return _signed_prefix(w.lo, w._prefix, w.left, w.right)
+    j0 = (w.lo - r + e - 1) // e
+    t0 = j0 * e + r - w.lo
+    vals = w.values[t0::e]
+
+    def tail(rule: ExtRule, t: int) -> ExtRule:  # its unit[0] at offset t
+        return rule and Periodic(
+            rule.unit[(t + i * e) % rule.period]
+            for i in range(rule.period // math.gcd(rule.period, e)))
+
+    return _signed_prefix(j0, list(accumulate(vals, initial=0)),
+                          tail(w.left, t0),
+                          tail(w.right, t0 + len(vals) * e - len(w.values)))
+
+
 def range_sum(w: SeqWindow, a: int, b: int) -> int:
     """Sum of values at positions a..b inclusive, G(b + 1) - G(a): O(1)
     big-int operations however long the range is (heads can be huge).  An
@@ -229,20 +251,16 @@ def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
 
 # --- shift-invariant maps ----------------------------------------------------
 
-def _margins(w: SeqWindow, reach: Optional[int] = None) -> tuple[int, int]:
+def _margins(w: SeqWindow, reach: Callable[[int], int]) -> tuple[int, int]:
     """The input positions a shift-invariant map evaluates: the stored span
-    and, on a periodic side, ``reach + 2 * period + 1`` more, where ``reach``
-    bounds how far a value reads from its position (by default the tail's
-    largest magnitude, the reach of O's summands); so the two outermost
-    periods read only the tail.  An undefined side adds none, as every map
-    reads its own position, so the whole range is defined."""
-    def margin(rule: ExtRule) -> int:
-        if rule is None:
-            return 0
-        r = max(map(abs, rule.unit)) if reach is None else reach
-        return r + 2 * rule.period + 1
-
-    return w.lo - margin(w.left), w.hi + margin(w.right)
+    and, on a periodic side, R + 2 * period + 1 more, R the largest
+    ``reach(u)`` over the tail's values u, a bound on how far the map reads
+    from a position holding u; so the two outermost periods read only the
+    tail.  An undefined side adds none: every map reads its own position."""
+    left, right = (0 if rule is None else
+                   max(map(reach, set(rule.unit))) + 2 * rule.period + 1
+                   for rule in (w.left, w.right))
+    return w.lo - left, w.hi + right
 
 
 def _assemble(w: SeqWindow, col: list[Optional[int]], a: int,
@@ -430,21 +448,18 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     vals = list(w.values)
     prefix = list(accumulate(vals, initial=0))
     G = _signed_prefix(w.lo, prefix, w.left, None)  # sees each append
-    hi = w.hi
-    for _ in range(steps):
+    for pos in range(w.hi + 1, w.hi + 1 + steps):
         head = vals[-1]
-        pos = hi + 1
         if pos in supplied:
             value = int(supplied[pos])
         elif head >= -1:
-            # the equation at hi; heads 0 and -1 both give 0
+            # the equation at pos - 1; heads 0 and -1 both give 0
             n = abs(head)
             value = G(pos) - G(pos - n) + n
         else:
-            raise NonDeterministic(hi, head)
+            raise NonDeterministic(pos - 1, head)
         vals.append(value)
         prefix.append(prefix[-1] + value)
-        hi += 1
     return SeqWindow(w.lo, vals, left=w.left, right=None)
 
 
@@ -452,16 +467,16 @@ def extend_right_by_O(w: SeqWindow, steps: int,
 
 def difference(w: SeqWindow, k: int = 1) -> SeqWindow:
     """k-fold forward difference, the k-th difference of w at x reading
-    w[x..x + k]: one ``slice`` over ``_margins(w, k - 1)``, differenced k
-    times, then ``_assemble``, so a periodic tail differences to one of the
-    same period.  The output stores lo - k (lo on an undefined left side) to
-    hi (hi - k on an undefined right side)."""
+    w[x..x + k]: one ``slice`` of the ``_margins`` range for reach k - 1,
+    differenced k times, then ``_assemble``, so a periodic tail differences
+    to one of the same period.  The output stores lo - k (lo on an undefined
+    left side) to hi (hi - k on an undefined right side)."""
     if k < 1:
         raise ValueError("difference order must be >= 1")
     if w.left is None and w.right is None and len(w.values) <= k:
         raise WindowTooSmall(
             f"window of {len(w.values)} values cannot take {k} differences")
-    a, b = _margins(w, k - 1)
+    a, b = _margins(w, lambda u: k - 1)
     col = w.slice(a, b)
     for _ in range(k):
         col = list(map(operator.sub, col[1:], col))

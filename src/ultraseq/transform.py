@@ -2,12 +2,11 @@
 the classical linear map G with its eigen-recurrence, and the shift L.
 
 Each map is one column pass over the input positions ``seqcore._margins``
-gives: one read of the input, then one ``seqcore._assemble``.  Each
-application computes exactly those output positions whose input references
-are defined.  A periodic tail maps to a tail of the same period: over a
-margin whose two outermost periods read only the tail, ``_assemble``
-compares one period with the next and, if they agree, makes it the
-output's tail; otherwise the output side becomes undefined.
+gives, then one ``seqcore._assemble``, and computes exactly those output
+positions whose input references are defined.  A periodic tail maps to a
+tail of the same period: ``_assemble`` compares the margin's two outermost
+periods, which read only the tail, and keeps one if they agree; otherwise
+the output side becomes undefined.
 """
 from __future__ import annotations
 
@@ -20,9 +19,9 @@ from .errors import InvalidConfig, OutOfDomain, WrongInitialCount
 from .seqcore import (
     SeqWindow,
     _assemble,
+    _class_prefix,
     _column,
     _margins,
-    _signed_prefix,
     check_window_len,
     o_successors,
     sign,
@@ -33,11 +32,11 @@ SlotFn = Callable[[int, int], int]
 
 @dataclass(frozen=True)
 class HParams:
-    """The six slot functions of the general transformation.
-
-    Each slot receives (position p, value u_p) and returns an integer.
-    nu_{p+1} = sum over i in [f1, f2) of f3 * u_{p*f4 - i*f5*sign(u_p)} + f6.
-    A periodic tail maps exactly only if no slot reads p and f4 is 1.
+    """The six slot functions of the general transformation, each called
+    with (position p, value u_p) and returning an integer: nu_{p+1} is the
+    sum over i in [f1, f2) of f3 * u_{p*f4 - i*f5*sign(u_p)} + f6.  A
+    periodic tail maps exactly only if no slot reads p and f4 is 1; the
+    margin reads f1, f2 and f5 at p = 0 on the tails' values.
     """
 
     f1: SlotFn
@@ -52,9 +51,8 @@ def _const(c: int) -> SlotFn:
     return lambda p, u: c
 
 
-#: slots realizing O within the general formula.  The direction factor
-#: sign(u_p) is already part of the index expression, so the fifth slot is
-#: the constant 1; with it the summand index is p - i*sign(u_p).
+#: slots realizing O within the general formula: the index expression holds
+#: the direction sign(u_p), so f5 = 1 gives the summand index p - i*sign(u_p)
 O_SLOTS = HParams(
     f1=_const(0),
     f2=lambda p, u: abs(u),
@@ -74,16 +72,16 @@ class GParams:
 # --- the transformations ------------------------------------------------------
 
 def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
-    """The six-slot map: the heads from one slice of the margin range, the
-    sums off one signed prefix sum G.  With f1 < f2 and a slot step
-    f5*sign(u) of +1 or -1 the summands are one range [s, t), summed as
-    G(t) - G(s); other steps sum one lookup per summand.  A tail is carried
-    exactly only when no slot reads p: else the map is not shift-invariant,
-    and ``_assemble``, which compares one input period with the next, may
-    keep a wrong tail."""
-    a0, b0 = _margins(w)
-    G = _signed_prefix(w.lo, w._prefix, w.left, w.right)
+    """The six-slot map: the heads from one slice of the margin range, and
+    each sum C(y) - C(x), C the signed prefix sum (``_class_prefix``, one
+    build per call) of the residue class mod |s| that holds the summands of
+    a step s = f5*sign(u) != 0; s = 0 sums f2 - f1 copies of u[p*f4].  The
+    margin reaches |f5|*max(|f1|, |f2|), slots read at p = 0 on the tails'
+    values.  A tail is exact only if no slot reads p and f4 is 1."""
     f1, f2, f3, f4, f5, f6 = h.f1, h.f2, h.f3, h.f4, h.f5, h.f6
+    a0, b0 = _margins(w, lambda u: abs(f5(0, u)) * max(abs(f1(0, u)),
+                                                       abs(f2(0, u))))
+    G, strided = _class_prefix(w, 1, 0), {}
     col: list[Optional[int]] = []
     for p, u in zip(range(a0, b0 + 1), w.slice(a0, b0)):
         a, b = f1(p, u), f2(p, u)
@@ -91,17 +89,21 @@ def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
             raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
         c, d, e, f = f3(p, u), f4(p, u), f5(p, u), f6(p, u)
         step, base = e * sign(u), p * d
+        s = abs(step)
         try:
-            if a < b and step == 1:  # indices base - b + 1 .. base - a
-                total = G(base - a + 1) - G(base - b + 1)
-            elif a < b and step == -1:  # indices base + a .. base + b - 1
-                total = G(base + b) - G(base + a)
-            else:
-                total = sum(w.value_at(base - i * step) for i in range(a, b))
+            if a == b:
+                total = 0
+            elif s == 0:
+                total = (b - a) * (G(base + 1) - G(base))
+            else:  # base - i*step for i in [a, b): class j*s + base % s
+                C = G if s == 1 else strided.get(k := (s, base % s)) or \
+                    strided.setdefault(k, _class_prefix(w, *k))
+                j = base // s
+                total = (C(j - a + 1) - C(j - b + 1) if step > 0
+                         else C(j + b) - C(j + a))
+            col.append(c * total + f * (b - a))
         except OutOfDomain:
             col.append(None)
-            continue
-        col.append(c * total + f * (b - a))
     return _assemble(w, col, a0, 1)
 
 
@@ -109,13 +111,13 @@ def apply_O(w: SeqWindow) -> SeqWindow:
     """The self-generation map: each output value is the one the equation
     gives from its predecessor's position, all of them from one
     ``o_successors`` pass over the margin range, O(1) per position."""
-    a, b = _margins(w)
+    a, b = _margins(w, abs)
     return _assemble(w, o_successors(w, a, b), a, 1)
 
 
 def apply_G(g: GParams, w: SeqWindow) -> SeqWindow:
     """The classical linear map: g.p * u[x] - g.q * u[x - 1] at x + 1."""
-    a, b = _margins(w)
+    a, b = _margins(w, abs)
     col = w.slice(a, b)
     return _assemble(w, [g.p * y - g.q * x for x, y in zip(col, col[1:])],
                      a + 1, 1)
@@ -141,8 +143,7 @@ def recurrence_1_3_extend(g: GParams, r: int, initial: list[int],
               for i in range(r + 1)]
     vals = [int(v) for v in initial]
     for _ in range(n):
-        q = len(vals)
-        vals.append(sum(coeffs[i] * vals[q - r - i] for i in range(r + 1)))
+        vals.append(sum(coeffs[i] * vals[-r - i] for i in range(r + 1)))
     return SeqWindow(0, vals)
 
 
@@ -155,10 +156,9 @@ def iterate(t: Transformation, n: int, w: SeqWindow) -> SeqWindow:
     empties before n steps."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = w
     for _ in range(n):
-        out = t(out)
-    return out
+        w = t(w)
+    return w
 
 
 def windows_equal(a: SeqWindow, b: SeqWindow, lo: int, hi: int) -> bool:

@@ -553,6 +553,34 @@ class TestRangeCap:
         assert (code, out) == (2, "") and err.count("\n") == 1
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("argv", [
+        "gen --family pistar:m={big} --range 0..3",
+        "gen --family tau:m={big},P=5,N=1 --range 0..1",
+        "gen --family pi:m=1 --range 0..{big}",
+        "enumerate --m {big}",
+        "enumerate --m {big} --canonical",
+        "reference --sequence q --count {big}",
+        "diff --family pi:m=1 --range 0..5 --order {big}",
+        "gen --family omega:extent={big} --range 0..1",
+        "gen --family opower:r={big},unit=+ --range 0..1",
+        "gen --family composite:left=tau:m=1,P=5,N=1,seed=1,steps={big} "
+        "--range 0..1",
+    ])
+    def test_size_guards_echo_in_brief(self, capsys, monkeypatch, argv):
+        # 4299 digits: as many as int() reads, and with 4m + 2 or a window's
+        # size one more than str() writes
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW", raising=False)
+        code, out, err = run(capsys, *argv.format(big="9" * 4299).split())
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and len(err) <= 200
+
+    def test_an_integer_past_str_is_named_by_its_digits(self):
+        assert brief(10 ** 5000) == "<a 5001-digit integer>"
+        assert brief(1 - 10 ** 5000) == "<a 5000-digit integer>"
+        assert brief([10 ** 4300]) == "[<a 4301-digit integer>]"
+        assert brief(10 ** 4299) == brief(int("1" + "0" * 4299))
+        assert len(brief(10 ** 4299)) == 80
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

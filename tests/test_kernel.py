@@ -83,17 +83,18 @@ def naive_column(value, a: int, b: int) -> list:
     return out
 
 
-def naive_map(w: SeqWindow, value) -> SeqWindow:
+def naive_map(w: SeqWindow, value, reach) -> SeqWindow:
     """The shift-invariant map whose value at p + 1 is ``value(p)``, one
-    position of the margin range at a time; a range over the cap is
-    refused before any position is evaluated."""
-    a, b = seqcore._margins(w)
+    position of the margin range at a time, ``reach(u)`` bounding how far a
+    tail value u reads; a range over the cap is refused before any position
+    is evaluated."""
+    a, b = seqcore._margins(w, reach)
     seqcore.check_window_len(b - a + 1, "range")
     return seqcore._assemble(w, naive_column(value, a, b), a, 1)
 
 
 def naive_apply_O(w: SeqWindow) -> SeqWindow:
-    return naive_map(w, lambda p: naive_successor(w, p))
+    return naive_map(w, lambda p: naive_successor(w, p), abs)
 
 
 def naive_successors(w: SeqWindow, a: int, b: int) -> list:
@@ -139,9 +140,19 @@ def naive_h_value(h: HParams, w: SeqWindow, p: int) -> int:
     return sum(c * w.value_at(p * d - i * e * s) + f for i in range(a, b))
 
 
+def naive_h_reach(h: HParams, u: int) -> int:
+    """How far a head u reads, found by listing its summand offsets i*f5
+    for i from f1 up to f2, the end of the slot range included, with the
+    slots read at p = 0 as the kernel's margin reads them."""
+    e = h.f5(0, u)
+    return max((abs(i * e) for i in range(h.f1(0, u), h.f2(0, u) + 1)),
+               default=0)
+
+
 def naive_apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
     """The six-slot map with one lookup per summand."""
-    return naive_map(w, lambda p: naive_h_value(h, w, p))
+    return naive_map(w, lambda p: naive_h_value(h, w, p),
+                     lambda u: naive_h_reach(h, u))
 
 
 def naive_extend(w: SeqWindow, steps: int) -> list[int]:
@@ -233,6 +244,18 @@ class TestRangeSum:
     def test_matches_per_position_sum(self, w, a, length):
         b = a + length - 1
         assert outcome(range_sum, w, a, b) == outcome(naive_range_sum, w, a, b)
+
+    @given(small_windows, st.integers(1, 5), st.integers(0, 4),
+           st.integers(-20, 20), st.integers(1, 20))
+    def test_class_prefix_matches_per_position_sum(self, w, e, r, s, length):
+        # the residue class j*e + r, read off its own signed prefix sum
+        C = seqcore._class_prefix(w, e, r % e)
+
+        def naive(s, t):
+            return sum(w.value_at(j * e + r % e) for j in range(s, t))
+
+        assert outcome(lambda: C(s + length) - C(s)) == \
+            outcome(naive, s, s + length)
 
     def test_rows_and_periodic_windows(self):
         for w in short_rows() + periodic_windows():
@@ -375,14 +398,25 @@ H_SLOTS = {
     "empty": HParams(lambda p, u: u, lambda p, u: u, _const(5), _const(1),
                      _const(1), _const(7)),
     "O": O_SLOTS,
+    **{f"O.f5={e}": dataclasses.replace(O_SLOTS, f5=_const(e))
+       for e in (2, 3, -2)},
 }
+
+#: shift-invariant slot sets with a step f5 in -3..3 and a slot range
+#: [f1, f2) that may be empty or hold negative i
+swept_slots = st.builds(
+    lambda lo, width, c, e, f: HParams(
+        _const(lo), lambda p, u: lo + min(abs(u), width), _const(c),
+        _const(1), _const(e), _const(f)),
+    st.integers(-3, 2), st.integers(0, 6), st.integers(-2, 2),
+    st.integers(-3, 3), st.integers(-2, 2))
 
 
 class TestApplyHKernel:
     @settings(deadline=None)
-    @given(small_windows, st.sampled_from(sorted(H_SLOTS)))
-    def test_matches_per_summand_map(self, w, slots):
-        h = H_SLOTS[slots]
+    @given(small_windows,
+           st.sampled_from(sorted(H_SLOTS)).map(H_SLOTS.get) | swept_slots)
+    def test_matches_per_summand_map(self, w, h):
         got, want = outcome(apply_H, h, w), outcome(naive_apply_H, h, w)
         if isinstance(want, SeqWindow):
             assert same_window(got, want)
@@ -432,49 +466,65 @@ MAPS = {
     "diff2": (lambda w: difference(w, 2),
               lambda w, k: w.value_at(k + 2) - 2 * w.value_at(k + 1)
               + w.value_at(k)),
-    **{f"H.{s}": h_map(H_SLOTS[s]) for s in ("O", "empty", "step0", "step2")},
+    **{f"H.{s}": h_map(H_SLOTS[s]) for s in ("O", "empty", "step0", "step2",
+                                             "O.f5=2", "O.f5=3", "O.f5=-2")},
 }
 
 
 def check_against_truth(w: SeqWindow, fn, truth) -> Optional[SeqWindow]:
     """``fn(w)``, after checking that every position it defines within
-    4(M + p) + 2 of the span, M and p the tails' largest magnitude and
-    period, holds ``truth(w, position)``."""
+    4(M + p + 3) + 2 of the span, M and p the tails' largest magnitude and
+    period, holds ``truth(w, position)``: past the reach of every map here,
+    at most 3M + 9, by more than a period."""
     try:
         out = fn(w)
     except (DomainExhausted, WindowTooSmall):
         return None
     tails = [r for r in (w.left, w.right) if r is not None]
     reach = 4 * (max((max(map(abs, r.unit)) for r in tails), default=0)
-                 + max((r.period for r in tails), default=0)) + 2
+                 + max((r.period for r in tails), default=0) + 3) + 2
     for k in range(w.lo - reach, w.hi + reach + 1):
         if out.defined(k):
             assert out.value_at(k) == truth(w, k), (w, k)
     return out
 
 
-def check_map(w: SeqWindow, name: str) -> None:
-    """One of ``MAPS`` against its per-position values; a periodic input
-    side must give a periodic output side."""
-    out = check_against_truth(w, *MAPS[name])
+def check_map(w: SeqWindow, fn, truth) -> None:
+    """A map ``fn`` against its per-position values ``truth``; a periodic
+    input side must give a periodic output side."""
+    out = check_against_truth(w, fn, truth)
     if out is not None:
-        assert w.left is None or out.left is not None, (name, w, out)
-        assert w.right is None or out.right is not None, (name, w, out)
+        assert w.left is None or out.left is not None, (w, out)
+        assert w.right is None or out.right is not None, (w, out)
 
 
 class TestMapsAgainstGroundTruth:
     @settings(deadline=None)
     @given(small_windows, st.sampled_from(sorted(MAPS)))
     def test_small_windows(self, w, name):
-        check_map(w, name)
+        check_map(w, *MAPS[name])
+
+    @settings(deadline=None)
+    @given(small_windows, swept_slots)
+    def test_swept_slots(self, w, h):
+        check_map(w, *h_map(h))
+
+    def test_a_step_of_two_keeps_the_tail_its_reach_gives(self):
+        # heads 5 on the right read ten positions back, past the span and
+        # past O's reach: each value there sums 5 + 5 * 5
+        h = dataclasses.replace(O_SLOTS, f5=_const(2))
+        w = SeqWindow(0, [0, 0], left=constant(0), right=constant(5))
+        out = check_against_truth(w, *h_map(h))
+        assert out.right == constant(30)
+        assert out.slice(11, 40) == [30] * 30
 
     def test_rows_and_periodic_windows(self):
         for w in short_rows() + periodic_windows():
             for name in MAPS:
-                check_map(w, name)
+                check_map(w, *MAPS[name])
         # heads near 10^8: too many summands for the per-summand H values
         for name in ("O", "G", "diff1", "diff2"):
-            check_map(pi_window(2, 40), name)
+            check_map(pi_window(2, 40), *MAPS[name])
 
     def test_a_slot_that_reads_the_position_keeps_no_unchecked_tail(self):
         # u[p] + p % 2 alternates over a constant tail: the two periods the
@@ -493,8 +543,8 @@ class TestLookupCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Counts lookups (``value_at`` and ``range_sum``) in "n" and
-        signed prefix sum builds in "builds"; ``transform`` imports
-        ``_signed_prefix`` by name, so it is patched there too."""
+        signed prefix sum builds in "builds"; every build, a residue
+        class's included, goes through ``seqcore._signed_prefix``."""
         counter = {"n": 0, "builds": 0}
 
         def counting(fn, key="n"):
@@ -506,21 +556,38 @@ class TestLookupCounts:
         monkeypatch.setattr(SeqWindow, "value_at",
                             counting(SeqWindow.value_at))
         monkeypatch.setattr(seqcore, "range_sum", counting(seqcore.range_sum))
-        build = counting(seqcore._signed_prefix, "builds")
-        for module in (seqcore, transform):
-            monkeypatch.setattr(module, "_signed_prefix", build)
+        monkeypatch.setattr(seqcore, "_signed_prefix",
+                            counting(seqcore._signed_prefix, "builds"))
         return counter
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_apply_H_on_a_pi_row(self, calls, m):
         w = pi_window(m, 19)
-        p_lo, p_hi = transform._margins(w)
+        p_lo, p_hi = transform._margins(w, abs)
         assert sum(map(abs, w.values)) > 1000 * (p_hi - p_lo + 1)
         calls.update(n=0, builds=0)
         out = apply_H(O_SLOTS, w)
         # the heads come from one slice and every sum off one G
         assert calls == {"n": 0, "builds": 1}
         assert same_window(out, apply_O(w))
+
+    @pytest.mark.parametrize("e", [2, 3])
+    def test_apply_H_with_a_wider_step_on_a_pi_row(self, calls, e):
+        w = pi_window(2, 40)
+        assert max(w.values) > 10 ** 8
+        calls.update(n=0, builds=0)
+        out = apply_H(dataclasses.replace(O_SLOTS, f5=_const(e)), w)
+        # no lookup per summand, and at most one G per residue class mod e
+        # besides the window's own
+        assert calls["n"] == 0 and 1 <= calls["builds"] <= 1 + e
+        # each head u >= 0 in the span sums every e-th value back from its
+        # position, the ones left of the span -2 each
+        for p in range(w.lo, w.hi):
+            u = w.values[p - w.lo]
+            if u >= 0:
+                stored = w.values[p - w.lo::-e][:u]
+                want = sum(stored) - 2 * (u - len(stored)) + u
+                assert out.value_at(p + 1) == want, p
 
     def test_verify_on_a_pi_row(self, calls):
         w = pi_window(3, 40)
