@@ -10,7 +10,7 @@ import io
 import sys
 from typing import Optional, Sequence
 
-from . import families, reference, seqcore
+from . import reference, seqcore
 from .errors import UltraseqError, brief
 from .exactmath import fixed_point
 from .families import (
@@ -18,7 +18,6 @@ from .families import (
     build_family,
     parse_family,
     parse_range,
-    pi_closed,
     tau_enumerate,
 )
 from .seqcore import (
@@ -205,18 +204,10 @@ def _cmd_diff(args) -> tuple[str, int]:
 
 def _cmd_closed_form(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
-    if lo < 0:
-        raise ValueError("closed forms are defined for indices >= 0")
-    family = parse_family(args.family)
-    if family.kind != "pi":
-        raise ValueError("closed-form comparison supports pi families")
-    m = family.values["m"]
-    w = families.pi_window(m, hi + 1)
-    header = ("index", "iterative", "fib_form", "quad_form")
-    quad = families.pi_quad_row(m, lo, hi)
-    rows = [(n, w.value_at(n), pi_closed(m, n, "fib"), quad[n - lo])
-            for n in range(lo, hi + 1)]
-    mismatch = any(not (it == f == q) for _, it, f, q in rows)
+    names, columns = parse_family(args.family).closed_row(lo, hi)
+    header = ("index", *names)
+    rows = list(zip(range(lo, hi + 1), *columns))
+    mismatch = any(col != columns[0] for col in columns[1:])
     if args.format == "table":
         text = "\n".join("  ".join(str(c) for c in row)
                          for row in [header, *rows]) + "\n"

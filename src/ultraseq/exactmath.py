@@ -7,9 +7,9 @@ by three plain integers (p, q, d), meaning (p + q*sqrt 5)/d, kept canonical
 and one gcd.  Its rational components a = p/d and b = q/d are available as
 ``fractions.Fraction`` properties.  ``QuadExt`` is the workhorse behind every
 golden-ratio closed form; ``closed_form_affine_row`` evaluates a whole row of
-one in a single pass.  ``fixed_point`` renders an exact rational as
-decimal text.  No floating point is used anywhere in this module except
-``float(QuadExt)``, for display.
+one in a single pass of integer additions.  ``fixed_point`` renders an exact
+rational as decimal text.  No floating point is used anywhere in this module
+except ``float(QuadExt)``, for display.
 """
 from __future__ import annotations
 
@@ -232,20 +232,33 @@ def closed_form_affine_row(a0: int, a1: int, eps: int, lo: int,
 
     Evaluated exactly through Q(sqrt 5) as beta*phi^n + gamma*psi^n - eps:
     the shifted sequence L_n + eps satisfies the pure two-term recurrence,
-    so the irrational part cancels.  The constants and phi^lo, psi^lo are
-    computed once; each further index costs one multiplication by phi and
-    one by psi.  Every term goes through ``as_integer``, which raises
-    ValueError unless the irrational part vanishes and the value is whole.
+    so the irrational part cancels.  The constants and x = beta*phi^lo,
+    y = gamma*psi^lo are ``QuadExt`` values computed once; the row then
+    carries the numerators (p, q) of x and y, meaning (p + q*sqrt 5)/D, over
+    one denominator D = 2*dx*dy.  A step by phi is ((p + 5q)/2, (p + q)/2),
+    one by psi ((p - 5q)/2, (q - p)/2); both halvings are exact shifts,
+    since the doubled starting numerators have p = q (mod 2) and each step
+    keeps it.  So each index costs a few big-integer additions and one
+    ``divmod`` by the small D, with no gcd and no ``QuadExt``.  Every term
+    is checked: a nonzero sqrt 5 part or a remainder raises ValueError.
     """
     if not 0 <= lo <= hi:
         raise ValueError("closed_form_affine_row requires 0 <= lo <= hi")
     beta, gamma = two_point_constants(a0 + eps, a1 + eps)
     x = beta * quad_pow(PHI, lo)
     y = gamma * quad_pow(PSI, lo)
+    den = 2 * x.d * y.d
+    xp, xq = 2 * x.p * y.d, 2 * x.q * y.d
+    yp, yq = 2 * y.p * x.d, 2 * y.q * x.d
     row = []
-    for _ in range(lo, hi + 1):
-        row.append((x + y - eps).as_integer())
-        x, y = x * PHI, y * PSI
+    for n in range(lo, hi + 1):
+        value, rest = divmod(xp + yp, den)
+        if rest or xq + yq:
+            raise ValueError(f"term {n} of the closed form is not an "
+                             "integer")
+        row.append(value - eps)
+        xp, xq = (xp + 5 * xq) >> 1, (xp + xq) >> 1
+        yp, yq = (yp - 5 * yq) >> 1, (yq - yp) >> 1
     return row
 
 

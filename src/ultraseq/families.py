@@ -82,10 +82,24 @@ def pi_closed(m: int, n: int, method: str = "fib") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
+def pi_fib_row(m: int, lo: int, hi: int) -> list[int]:
+    """``pi_closed(m, n, 'fib')`` for n = lo..hi, in one pass: F(lo - 1) and
+    F(lo) by fast doubling, then F(n + 1) = F(n) + F(n - 1) per index, with
+    F(n + 2) = F(n - 1) + 2*F(n)."""
+    if m < 1 or not 0 <= lo <= hi:
+        raise ValueError("require m >= 1 and 0 <= lo <= hi")
+    a, b = fib(lo - 1), fib(lo)  # F(n - 1), F(n)
+    row = []
+    for _ in range(lo, hi + 1):
+        row.append(m * a + 2 * (a + 2 * b) - 2)
+        a, b = b, a + b
+    return row
+
+
 def pi_quad_row(m: int, lo: int, hi: int) -> list[int]:
     """``pi_closed(m, n, 'quad')`` for n = lo..hi, in one pass: the constants
-    and the powers at lo are computed once, then two multiplications per
-    index."""
+    and the powers at lo are computed once, then a few integer additions per
+    index (``closed_form_affine_row``)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return closed_form_affine_row(m, 2, 2, lo, hi)
@@ -213,6 +227,25 @@ def pi_star_window(m: int, n_max: int, reach: int = 0) -> SeqWindow:
     lo = min(placements)
     left_vals = [placements.get(kk, -2) for kk in range(lo, 0)]
     return SeqWindow(lo, left_vals + right)
+
+
+def pi_star_closed_row(m: int, lo: int, hi: int) -> list[int]:
+    """Right-side values at indices lo..hi in closed form, in one pass: m
+    and 2 at indices 0 and 1, then 2^(k-1)*(m+10) - 6 at index 2k and
+    2^(k-1)*(m+10) - 2 at index 2k+1, for k >= 1."""
+    if m < 1 or not 0 <= lo <= hi:
+        raise ValueError("require m >= 1 and 0 <= lo <= hi")
+    power = (m + 10) << (max(lo, 2) // 2 - 1)  # 2^(k-1)*(m+10)
+    row = []
+    for n in range(lo, hi + 1):
+        if n < 2:
+            row.append(2 if n else m)
+        elif n % 2 == 0:
+            row.append(power - 6)
+        else:
+            row.append(power - 2)
+            power <<= 1
+    return row
 
 
 def pi_star_even_closed(m: int, n: int) -> int:
@@ -646,6 +679,30 @@ class Family:
         reports; None for a family without a periodic left tail."""
         tau = self.config if self.kind == "tau" else self.values.get("left")
         return tau and tau.m
+
+    def closed_row(self, lo: int,
+                   hi: int) -> tuple[tuple[str, ...], list[list[int]]]:
+        """Column names and columns over indices lo..hi, lo >= 0, for the
+        closed-form comparison: the values generated by the family's own
+        rule (``iterative``), then each closed form, each column built in
+        one pass.  Only pi and pistar have closed forms; other kinds raise
+        ValueError."""
+        if lo < 0:
+            raise ValueError("closed forms are defined for indices >= 0")
+        m = self.values.get("m")
+        if self.kind == "pi":
+            return (("iterative", "fib_form", "quad_form"),
+                    [pi_window(m, hi).slice(lo, hi), pi_fib_row(m, lo, hi),
+                     pi_quad_row(m, lo, hi)])
+        if self.kind == "pistar":
+            # the right side alone: the window would also mirror each
+            # odd-index value to its left, exponentially far out
+            check_window_len(hi + 1, "pistar window")
+            return (("iterative", "closed_form"),
+                    [_pi_star_right(m, max(hi, 3))[lo:hi + 1],
+                     pi_star_closed_row(m, lo, hi)])
+        raise ValueError("closed-form comparison supports pi and pistar "
+                         "families")
 
     def window(self, lo: int, hi: int) -> SeqWindow:
         """A window covering [lo, hi] where the family allows."""

@@ -438,29 +438,37 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     ``NonDeterministic`` unless ``supplied`` maps the successor position to
     a caller-chosen value.  Supplied values are appended verbatim; they are
     not validated here (that is the verifier's job).
+
+    The successor of a head h > 0 is the running total less G(pos - h),
+    plus h: the start of the summand range is read off the prefix sums
+    inside the span and off the window's one G (``_signed_prefix``) past
+    its left end, as ``o_successors`` reads them.  Heads 0 and -1 give 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if w.right is not None:
         raise IncompatibleShape("window already has a right extension rule")
     check_window_len(len(w.values) + steps, "extended window")
-    supplied = supplied or {}
+    lo = w.lo
     vals = list(w.values)
     prefix = list(accumulate(vals, initial=0))
-    G = _signed_prefix(w.lo, prefix, w.left, None)  # sees each append
+    G = _signed_prefix(lo, prefix, w.left, None)
+    head, total = vals[-1], prefix[-1]
     for pos in range(w.hi + 1, w.hi + 1 + steps):
-        head = vals[-1]
-        if pos in supplied:
-            value = int(supplied[pos])
+        if supplied is not None and pos in supplied:
+            head = int(supplied[pos])
+        elif head > 0:
+            # the equation at pos - 1, summing [pos - head, pos)
+            s = pos - head
+            head += total - (prefix[s - lo] if s >= lo else G(s))
         elif head >= -1:
-            # the equation at pos - 1; heads 0 and -1 both give 0
-            n = abs(head)
-            value = G(pos) - G(pos - n) + n
+            head = 0
         else:
             raise NonDeterministic(pos - 1, head)
-        vals.append(value)
-        prefix.append(prefix[-1] + value)
-    return SeqWindow(w.lo, vals, left=w.left, right=None)
+        vals.append(head)
+        total += head
+        prefix.append(total)
+    return SeqWindow(lo, vals, left=w.left, right=None)
 
 
 # --- differences and sums ----------------------------------------------------

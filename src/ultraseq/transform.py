@@ -116,8 +116,9 @@ def apply_O(w: SeqWindow) -> SeqWindow:
 
 
 def apply_G(g: GParams, w: SeqWindow) -> SeqWindow:
-    """The classical linear map: g.p * u[x] - g.q * u[x - 1] at x + 1."""
-    a, b = _margins(w, abs)
+    """The classical linear map: g.p * u[x] - g.q * u[x - 1] at x + 1,
+    which reads one position back whatever u[x] holds."""
+    a, b = _margins(w, lambda u: 1)
     col = w.slice(a, b)
     return _assemble(w, [g.p * y - g.q * x for x, y in zip(col, col[1:])],
                      a + 1, 1)

@@ -14,7 +14,12 @@ import pytest
 from ultraseq import cli
 from ultraseq.cli import dispatch
 from ultraseq.errors import brief, clip
-from ultraseq.families import build_family
+from ultraseq.families import (
+    _pi_star_right,
+    build_family,
+    pi_closed,
+    pi_window,
+)
 from ultraseq.seqcore import from_json, to_json
 
 UNDEF = {"kind": "undefined"}
@@ -256,6 +261,42 @@ class TestDiffAndClosedForm:
         code, _, err = run(capsys, "closed-form", "--family",
                            "omega:extent=3", "--range", "0..2")
         assert code == 2 and "error:" in err
+
+    def test_closed_form_is_the_per_index_text(self, capsys):
+        # the rows render byte for byte what the generated row and one
+        # per-index Fibonacci evaluation give
+        m, hi = 3, 1500
+        w = pi_window(m, hi)
+        want = "index,iterative,fib_form,quad_form\n" + "".join(
+            "{0},{1},{2},{2}\n".format(n, w.value_at(n),
+                                        pi_closed(m, n, "fib"))
+            for n in range(hi + 1))
+        code, out, _ = run(capsys, "closed-form", "--family", f"pi:m={m}",
+                           "--range", f"0..{hi}", "--format", "csv")
+        assert (code, out) == (0, want)
+
+    def test_closed_form_for_pistar(self, capsys):
+        code, out, err = run(capsys, "closed-form", "--family", "pistar:m=1",
+                             "--range", "0..40", "--format", "csv")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "index,iterative,closed_form"
+        right = _pi_star_right(1, 40)
+        for n, line in enumerate(lines[1:]):
+            k = n // 2
+            want = (right[n] if n < 2 else
+                    2 ** (k - 1) * 11 - (6 if n % 2 == 0 else 2))
+            assert line == f"{n},{right[n]},{want}"
+        assert len(lines) == 42
+
+    @pytest.mark.parametrize("family", [
+        "tau:m=1,P=5,N=1", "opower:r=3,unit=+,-,-", "omega:extent=3",
+        "composite:left=tau:m=1,P=5,N=1,seed=1"])
+    def test_closed_form_for_kinds_without_one(self, capsys, family):
+        code, out, err = run(capsys, "closed-form", "--family", family,
+                             "--range", "0..2")
+        assert (code, out) == (2, "")
+        assert "supports pi and pistar" in err
 
 
 class TestEnumerate:

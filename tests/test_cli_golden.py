@@ -35,6 +35,8 @@ APPROX_ROWS = [(0, "321.000", "321", 0.0),
 CLOSED_M7 = [(37, 231004434), (38, 373773027), (39, 604777463),
              (40, 978550492), (41, 1583327957), (42, 2561878451),
              (43, 4145206410), (44, 6707084863), (45, 10852291275)]
+PISTAR_M1 = (1, 2, 5, 9, 16, 20, 38, 42)
+PISTAR_M2 = [(3, 10), (4, 18), (5, 22), (6, 42), (7, 46), (8, 90), (9, 94)]
 CANONICAL_M1 = ["tau:m=1,P=5,N=1", "tau:m=1,P=4,N=1", "tau:m=1,P=3,N=1"]
 #: the 70 rotation classes of m = 3, in unit order
 CANONICAL_M3 = """
@@ -137,6 +139,18 @@ GOLDEN = [
     ("closed-form --family pi:m=7 --range 37..45", 0,
      "index  iterative  fib_form  quad_form\n"
      + "".join(f"{n}  {v}  {v}  {v}\n" for n, v in CLOSED_M7)),
+    ("closed-form --family pistar:m=1 --range 0..7 --format csv", 0,
+     "index,iterative,closed_form\n"
+     + "".join(f"{n},{v},{v}\n" for n, v in enumerate(PISTAR_M1))),
+    ("closed-form --family pistar:m=1 --range 0..7 --format json", 0,
+     _json([{"index": n, "iterative": v, "closed_form": v}
+            for n, v in enumerate(PISTAR_M1)])),
+    ("closed-form --family pistar:m=1 --range 0..7", 0,
+     "index  iterative  closed_form\n"
+     + "".join(f"{n}  {v}  {v}\n" for n, v in enumerate(PISTAR_M1))),
+    ("closed-form --family pistar:m=2 --range 3..9 --format csv", 0,
+     "index,iterative,closed_form\n"
+     + "".join(f"{n},{v},{v}\n" for n, v in PISTAR_M2)),
     # enumerate
     ("enumerate --m 1 --canonical", 0,
      "\n".join(CANONICAL_M1) + "\n3 configurations\n"),
@@ -205,6 +219,8 @@ GOLDEN = [
     ("verify --input {bad}.missing --range 0..1", 2, ""),
     ("diff --family pi:m=1 --range 0..3 --order 0", 2, ""),
     ("closed-form --family omega:extent=3 --range 0..2", 2, ""),
+    ("closed-form --family tau:m=1,P=5,N=1 --range 0..2", 2, ""),
+    ("closed-form --family pistar:m=1 --range=-1..2", 2, ""),
     ("enumerate --m 9", 2, ""),
     ("approx --family composite:left=tau:m=2,P=1;4,N=6;8,seed=1 --base 200",
      2, ""),

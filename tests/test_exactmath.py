@@ -346,6 +346,18 @@ def _affine_iteration(a0, a1, eps, hi):
     return seq
 
 
+def naive_affine_row(a0, a1, eps, lo, hi):
+    """The per-index ``QuadExt`` row: x = beta*phi^lo and y = gamma*psi^lo,
+    then one reduced multiplication by phi and one by psi per index."""
+    beta, gamma = two_point_constants(a0 + eps, a1 + eps)
+    x, y = beta * quad_pow(PHI, lo), gamma * quad_pow(PSI, lo)
+    row = []
+    for _ in range(lo, hi + 1):
+        row.append((x + y - eps).as_integer())
+        x, y = x * PHI, y * PSI
+    return row
+
+
 class TestClosedFormAffine:
     @given(st.integers(min_value=-30, max_value=30),
            st.integers(min_value=-30, max_value=30),
@@ -395,6 +407,23 @@ class TestClosedFormAffine:
         with pytest.raises(ValueError, match="not an integer"):
             closed_form_affine_row(5, 2, 2, 3, 8)
 
+    @pytest.mark.parametrize("beta_shift, gamma_shift", [
+        # whole rational parts, a sqrt 5 part of L_n: only that check fires
+        (2 * SQRT5, QuadExt(0)),
+        # no sqrt 5 part, a rational part of L_n / 3: only the remainder
+        (QuadExt(Fraction(1, 3)), QuadExt(Fraction(1, 3)))])
+    def test_each_exactness_check_catches_alone(self, monkeypatch,
+                                                beta_shift, gamma_shift):
+        real = exactmath.two_point_constants
+
+        def perturbed(l0, l1):
+            beta, gamma = real(l0, l1)
+            return beta + beta_shift, gamma + gamma_shift
+
+        monkeypatch.setattr(exactmath, "two_point_constants", perturbed)
+        with pytest.raises(ValueError, match="not an integer"):
+            closed_form_affine_row(5, 2, 2, 0, 8)
+
     @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 200), (37, 45),
                                         (150, 151), (300, 900), (1000, 1000)])
     def test_row_multiplications_are_linear_plus_log(self, monkeypatch, lo,
@@ -402,6 +431,23 @@ class TestClosedFormAffine:
         calls = _count_muls(monkeypatch)
         closed_form_affine_row(7, 2, 2, lo, hi)
         assert calls[0] <= 2 * (hi - lo) + ROW_LOG_MULS * hi.bit_length()
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-12, 12),
+           st.integers(0, 300), st.integers(0, 60))
+    def test_row_matches_the_per_index_quadext_row(self, a0, a1, eps, lo,
+                                                   width):
+        assert closed_form_affine_row(a0, a1, eps, lo, lo + width) == \
+            naive_affine_row(a0, a1, eps, lo, lo + width)
+
+    @pytest.mark.parametrize("lo", [0, 1, 37, 300])
+    def test_row_length_costs_no_quadext_multiplication(self, monkeypatch,
+                                                        lo):
+        calls = _count_muls(monkeypatch)
+        closed_form_affine_row(-7, 3, -4, lo, lo)
+        one = calls[0]
+        calls[0] = 0
+        closed_form_affine_row(-7, 3, -4, lo, lo + 500)
+        assert calls[0] == one
 
     def test_per_index_powers_exceed_the_row_bound(self, monkeypatch):
         calls = _count_muls(monkeypatch)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultraseq import families
 from ultraseq.cli import dispatch
@@ -38,8 +38,10 @@ from ultraseq.families import (
     omega_window,
     parse_family,
     pi_closed,
+    pi_fib_row,
     pi_quad_row,
     pi_row_relation,
+    pi_star_closed_row,
     pi_star_even_closed,
     pi_star_window,
     pi_two_point,
@@ -89,6 +91,20 @@ class TestPiFamily:
     def test_quad_row_matches_fib_form(self, m, lo, hi):
         assert pi_quad_row(m, lo, hi) == [pi_closed(m, n, "fib")
                                           for n in range(lo, hi + 1)]
+
+    @given(st.integers(1, 9), st.integers(0, 300), st.integers(0, 60))
+    @example(1, 0, 0)
+    @example(9, 0, 60)
+    def test_fib_row_matches_per_index_fib_form(self, m, lo, width):
+        # lo = 0 starts the row from F(-1) = 1
+        assert pi_fib_row(m, lo, lo + width) == [
+            pi_closed(m, n, "fib") for n in range(lo, lo + width + 1)]
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (5, 4)])
+    def test_rows_reject_bad_bounds(self, lo, hi):
+        for row in (pi_fib_row, pi_star_closed_row):
+            with pytest.raises(ValueError):
+                row(1, lo, hi)
 
     def test_closed_form_matches_generation(self):
         for m in (1, 5, 8):
@@ -164,6 +180,15 @@ class TestPiStarFamily:
         for m in range(1, 5):
             for n in range(2, 13):
                 assert pi_star_even_closed(m, n) == 2 ** (n - 1) * (m + 10) - 6
+
+    def test_closed_row_matches_construction(self):
+        for m in range(1, 8):
+            right = families._pi_star_right(m, 200)
+            assert pi_star_closed_row(m, 0, 200) == right
+            for lo in range(0, 12):
+                for hi in (lo, lo + 1, lo + 7):
+                    assert pi_star_closed_row(m, lo, hi) == \
+                        right[lo:hi + 1], (m, lo, hi)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -155,8 +155,10 @@ def naive_apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
                      lambda u: naive_h_reach(h, u))
 
 
-def naive_extend(w: SeqWindow, steps: int) -> list[int]:
-    """Forward generation on a plain list, one summand at a time."""
+def naive_extend(w: SeqWindow, steps: int,
+                 supplied: Optional[dict] = None) -> list[int]:
+    """Forward generation on a plain list, one summand at a time; a value
+    ``supplied`` for a position is taken whatever the head before it."""
     vals = list(w.values)
 
     def at(k: int) -> int:
@@ -164,7 +166,9 @@ def naive_extend(w: SeqWindow, steps: int) -> list[int]:
 
     for _ in range(steps):
         p, u = w.lo + len(vals) - 1, vals[-1]
-        if u >= 1:
+        if supplied and p + 1 in supplied:
+            vals.append(supplied[p + 1])
+        elif u >= 1:
             vals.append(sum(at(p - i) + 1 for i in range(u)))
         elif u in (0, -1):
             vals.append(0)
@@ -536,6 +540,25 @@ class TestMapsAgainstGroundTruth:
         assert out.left is None and out.right is None
 
 
+class TestApplyGMargin:
+    def test_reads_one_position_back(self, monkeypatch):
+        # tail heads of 14 do not widen the margin of a map that reads
+        # u[x] and u[x - 1] only
+        w = tau_window(tau_enumerate(3)[0], 2)
+        margins = []
+        real = transform._margins
+
+        def recording(w, reach):
+            margins.append(real(w, reach))
+            return margins[-1]
+
+        monkeypatch.setattr(transform, "_margins", recording)
+        out = check_against_truth(w, *MAPS["G"])
+        assert margins == [(-29, 58)]
+        assert (out.lo, len(out.values)) == (1, 31)
+        assert out.left is not None and out.right is not None
+
+
 class TestLookupCounts:
     """Clock-free pins: the read side makes O(positions) window lookups on
     pi rows, whose heads sum to far more than the positions."""
@@ -637,7 +660,11 @@ class TestOneTailReader:
         seed = SeqWindow(0, (3,), left=constant(-2))
         out = extend_right_by_O(seed, 12)
         assert list(out.values) == naive_extend(seed, 12)
-        assert reads == {"builds": 1, "reads": 24}
+        # the running total is the sum's end, and the prefix sums hold
+        # every start inside the span: G is read once per value whose
+        # summand range starts left of lo, the first 11 here
+        assert reads == {"builds": 1, "reads": 11}
+        assert sum(out.values[k] > k + 1 for k in range(12)) == 11
 
 
 # --- forward generation ------------------------------------------------------------
@@ -652,8 +679,33 @@ class TestExtendKernel:
                 naive_extend(w, 12), w
 
     @given(small_windows.filter(lambda w: w.right is None),
-           st.integers(1, 5))
-    def test_matches_list_generator(self, w, steps):
-        def generated(w, steps):
-            return list(extend_right_by_O(w, steps).values)
-        assert outcome(generated, w, steps) == outcome(naive_extend, w, steps)
+           st.integers(1, 6),
+           st.dictionaries(st.integers(1, 6), st.integers(-8, 8)))
+    def test_matches_list_generator(self, w, steps, offsets):
+        # supplied values, when drawn, follow heads of every sign, -2 and
+        # below included
+        supplied = {w.hi + k: v for k, v in offsets.items()} or None
+
+        def generated(w, steps, supplied):
+            return list(extend_right_by_O(w, steps, supplied).values)
+        assert outcome(generated, w, steps, supplied) == \
+            outcome(naive_extend, w, steps, supplied)
+
+    def test_errors_name_the_head_and_the_summand_start(self):
+        seed = SeqWindow(0, (1,), left=constant(-2))
+        for head in (-2, -3, -7):
+            with pytest.raises(NonDeterministic) as exc:
+                extend_right_by_O(seed, 4, supplied={2: head})
+            assert (exc.value.position, exc.value.head) == (2, head)
+            # a supplied successor lifts the block, and the value after it
+            # sums back into the tail
+            out = extend_right_by_O(seed, 4, supplied={2: head, 3: 6})
+            assert list(out.values) == \
+                naive_extend(seed, 4, {2: head, 3: 6})
+        # an undefined left side: the start of the summand range
+        with pytest.raises(OutOfDomain) as exc:
+            extend_right_by_O(SeqWindow(0, (3,)), 1)
+        assert exc.value.index == -2
+        with pytest.raises(OutOfDomain) as exc:
+            extend_right_by_O(SeqWindow(5, (1, 2, 4)), 1)
+        assert exc.value.index == 4

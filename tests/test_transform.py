@@ -12,7 +12,12 @@ from ultraseq.families import (
     tau_enumerate,
     tau_window,
 )
-from ultraseq.seqcore import Periodic, SeqWindow, constant
+from ultraseq.seqcore import (
+    MAX_WINDOW_ENV,
+    Periodic,
+    SeqWindow,
+    constant,
+)
 from ultraseq.transform import (
     GParams,
     HParams,
@@ -180,22 +185,39 @@ class TestRecurrenceGuard:
             recurrence_1_3_extend(_Untouchable(), 1, [0, 1], 1_500_000)
 
 
+#: a tail magnitude of 3M widens the margin range of O and H past the cap
+DEEP_TAIL = SeqWindow(0, (1, 2), left=Periodic((-3_000_000,)))
+
+
 class TestMarginGuard:
-    @pytest.mark.parametrize("transform", [
-        apply_O, lambda w: apply_H(O_SLOTS, w),
-        lambda w: apply_G(GParams(1, 1), w)],
+    @pytest.mark.parametrize("transform, w, cap, size", [
+        (apply_O, DEEP_TAIL, None, 3000005),
+        (lambda w: apply_H(O_SLOTS, w), DEEP_TAIL, None, 3000005),
+        # G reads one position back whatever the tail holds, so only a long
+        # tail period widens its margin: 1 + 2 * 500 + 1 on the left
+        (lambda w: apply_G(GParams(1, 1), w),
+         SeqWindow(0, (1, 2), left=Periodic(range(500))), "1000", 1004)],
         ids=["apply_O", "apply_H", "apply_G"])
     def test_margin_range_over_the_cap_is_refused_first(self, monkeypatch,
-                                                          transform):
-        # a tail magnitude of 3M widens the margin range past the cap
-        w = SeqWindow(0, (1, 2), left=Periodic((-3_000_000,)))
+                                                          transform, w, cap,
+                                                          size):
+        if cap is not None:
+            monkeypatch.setenv(MAX_WINDOW_ENV, cap)
 
         def no_lookup(self, k):
             raise AssertionError("a position was evaluated")
 
         monkeypatch.setattr(SeqWindow, "value_at", no_lookup)
-        with pytest.raises(TooLarge, match="3000005"):
+        with pytest.raises(TooLarge, match=str(size)):
             transform(w)
+
+    def test_apply_G_margin_ignores_the_tail_magnitude(self):
+        out = apply_G(GParams(1, 1), DEEP_TAIL)
+        # u[x] - u[x - 1] at x + 1: 0 over the constant tail
+        assert out.left == constant(0)
+        assert [out.value_at(k) for k in range(-3, 3)] == [
+            DEEP_TAIL.value_at(k - 1) - DEEP_TAIL.value_at(k - 2)
+            for k in range(-3, 3)]
 
 
 class TestIterateAndEquality:
