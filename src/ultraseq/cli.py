@@ -8,6 +8,7 @@ import csv
 import functools
 import io
 import sys
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from . import reference, seqcore
@@ -206,13 +207,17 @@ def _cmd_closed_form(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
     names, columns = parse_family(args.family).closed_row(lo, hi)
     header = ("index", *names)
-    rows = list(zip(range(lo, hi + 1), *columns))
+    rows = zip(range(lo, hi + 1), *columns)
     mismatch = any(col != columns[0] for col in columns[1:])
-    if args.format == "table":
+    if args.format == "csv":
+        # csv.writer never quotes an int or these names
+        row = ",".join(["%d"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
+    elif args.format == "table":
         text = "\n".join("  ".join(str(c) for c in row)
                          for row in [header, *rows]) + "\n"
     else:
-        text = _render(header, rows, args.format)
+        text = _render(header, list(rows), args.format)
     return text, 1 if mismatch else 0
 
 
@@ -249,19 +254,28 @@ def _cmd_approx(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+#: one row of ``reference --format json``, as ``json.dumps`` indents it
+_JSON_ROW = '{\n    "index": %d,\n    "value": "%d"\n  }'
+
+
 def _cmd_reference(args) -> tuple[str, int]:
-    if args.count < 1:
+    n = args.count
+    if n < 1:
         raise ValueError("--count must be >= 1")
-    seqcore.check_window_len(args.count, "table")
+    seqcore.check_window_len(n, "table")
     if args.sequence == "q":
-        table = reference.hofstadter_q_table(args.count)
+        table = reference.hofstadter_q_table(n)
     else:
-        table = reference.conway_table(args.count)
-    pairs = [(n, str(table[n])) for n in range(1, args.count + 1)]
-    if args.format == "table":
-        text = "\n".join(f"{n}  {v}" for n, v in pairs) + "\n"
+        table = reference.conway_table(n)
+    # every cell is an int, so one template per format lays out the table
+    cells = tuple(chain.from_iterable(
+        zip(range(1, n + 1), islice(table, 1, None))))
+    if args.format == "csv":
+        text = "index,value\n" + "%d,%d\n" * n % cells
+    elif args.format == "json":
+        text = "[\n  " + ",\n  ".join([_JSON_ROW] * n) % cells + "\n]"
     else:
-        text = _render(("index", "value"), pairs, args.format)
+        text = "%d  %d\n" * n % cells
     return text, 0
 
 

@@ -1,6 +1,8 @@
 """Classical strange-recursion generators used as cross-checks.
 
 Each table is a list with slot 0 unused, so ``table[n]`` is the value at n.
+A computed index below 1 raises ``IndexUnderflow``, where a list would wrap
+around.
 """
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from .errors import IndexUnderflow
 
 
 def _index(n: int) -> int:
-    """A computed index, refused below 1, where a list would wrap around."""
+    """A computed index, refused below 1."""
     if n < 1:
         raise IndexUnderflow(n)
     return n
@@ -20,8 +22,11 @@ def hofstadter_q_table(n: int) -> list[int]:
         raise ValueError("n must be >= 1")
     table = [0, 1, 1]
     for k in range(3, n + 1):
-        table.append(table[_index(k - table[k - 1])]
-                     + table[_index(k - table[k - 2])])
+        i = k - table[k - 1]
+        j = k - table[k - 2]
+        if i < 1 or j < 1:
+            raise IndexUnderflow(i if i < 1 else j)
+        table.append(table[i] + table[j])
     return table
 
 
@@ -35,7 +40,10 @@ def conway_table(n: int) -> list[int]:
         raise ValueError("n must be >= 1")
     table = [0, 1, 1]
     for k in range(3, n + 1):
-        table.append(table[table[k - 1]] + table[_index(k - table[k - 1])])
+        c = table[k - 1]
+        if k - c < 1:
+            raise IndexUnderflow(k - c)
+        table.append(table[c] + table[k - c])
     return table
 
 

@@ -745,8 +745,18 @@ def from_document(d: dict) -> SeqWindow:
     )
 
 
+_DOCUMENT = ('{\n  "lo": %d,\n  "values": [\n    "%s"\n  ],\n'
+             '  "left": %s,\n  "right": %s\n}')
+
+
 def to_json(w: SeqWindow) -> str:
-    return json_text(to_document(w))
+    """``json_text`` of ``to_document(w)``, laid out by one template: the
+    values are ``str`` of ints, so none needs escaping and they are joined
+    as they are; the two rule objects go through ``json_text``."""
+    d = to_document(w)
+    left, right = (json_text(d[side]).replace("\n", "\n  ")
+                   for side in ("left", "right"))
+    return _DOCUMENT % (d["lo"], '",\n    "'.join(d["values"]), left, right)
 
 
 def from_json(text: str) -> SeqWindow:

@@ -622,6 +622,19 @@ class TestRangeCap:
         assert brief(10 ** 4299) == brief(int("1" + "0" * 4299))
         assert len(brief(10 ** 4299)) == 80
 
+    @pytest.mark.parametrize("command, fmt", [
+        ("gen", "json"), ("gen", "csv"), ("export", "json"),
+        ("closed-form", "csv")])
+    def test_a_value_past_the_digit_limit_is_one_error_line(
+            self, capsys, command, fmt):
+        # pi:m=1 passes 4300 digits near index 20990: its text is refused
+        # by the writer, as str() refuses it, with nothing printed
+        code, out, err = run(capsys, command, "--family", "pi:m=1",
+                             "--range", "20990..20991", "--format", fmt)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -2,18 +2,22 @@
 
 Each oracle here is the form the fast path replaced: ``json.dumps`` with an
 indent (CPython's pure-Python encoder), a ``csv.writer`` loop over
-``value_at``, one ``value_at`` per position, and the O(period) tail sum.
+``value_at`` or over a table's rows, one ``value_at`` per position, and the
+O(period) tail sum.
 """
+import contextlib
 import csv
 import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from test_cli_golden import GOLDEN, docs  # noqa: F401  (docs is a fixture)
+from ultraseq import reference
 from ultraseq.cli import dispatch
 from ultraseq.errors import OutOfDomain
+from ultraseq.families import parse_family
 from ultraseq.seqcore import (
     Periodic,
     SeqWindow,
@@ -21,18 +25,33 @@ from ultraseq.seqcore import (
     json_text,
     range_sum,
     to_csv,
+    to_document,
+    to_json,
 )
 
 
 # --- oracles -------------------------------------------------------------------
 
-def csv_writer_rows(w: SeqWindow, a: int, b: int) -> str:
+def csv_writer(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "value"])
-    for k in range(a, b + 1):
-        writer.writerow([k, w.value_at(k)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def csv_writer_rows(w: SeqWindow, a: int, b: int) -> str:
+    return csv_writer(["index", "value"],
+                      ([k, w.value_at(k)] for k in range(a, b + 1)))
+
+
+def cli_text(*argv: str) -> tuple[int, str]:
+    """Exit code and stdout of one command, with no pytest fixture, so that
+    hypothesis can draw its arguments."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(list(argv))
+    return code, out.getvalue()
 
 
 def outcome(f, *args):
@@ -132,13 +151,86 @@ def test_golden_json_never_runs_the_python_encoder(line, code, stdout, docs,
     assert capsys.readouterr().out == stdout
 
 
+# --- integer text by template ----------------------------------------------------
+
+TABLES = {"q": reference.hofstadter_q_table, "conway": reference.conway_table}
+#: what each format printed through its old writer (json with the newline
+#: the CLI appends)
+TABLE_WRITERS = {
+    "csv": lambda rows: csv_writer(["index", "value"], rows),
+    "json": lambda rows: json.dumps(
+        [{"index": n, "value": v} for n, v in rows], indent=2) + "\n",
+    "table": lambda rows: "\n".join(f"{n}  {v}" for n, v in rows) + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", TABLE_WRITERS)
+@pytest.mark.parametrize("sequence", TABLES)
+def test_reference_text_is_its_writer(sequence, fmt):
+    table = TABLES[sequence](4500)
+    for n in [*range(1, 301), 4500]:
+        rows = [(k, str(table[k])) for k in range(1, n + 1)]
+        assert cli_text("reference", "--sequence", sequence, "--count",
+                        str(n), "--format", fmt) == (0,
+                                                     TABLE_WRITERS[fmt](rows))
+
+
+@given(st.sampled_from(["pi", "pistar"]), st.integers(1, 9),
+       st.integers(0, 300), st.integers(0, 60))
+@example("pi", 1, 0, 0)
+@example("pistar", 1, 0, 3)
+def test_closed_form_csv_is_the_csv_writer(kind, m, lo, width):
+    family, hi = f"{kind}:m={m}", lo + width
+    names, columns = parse_family(family).closed_row(lo, hi)
+    want = csv_writer(["index", *names], zip(range(lo, hi + 1), *columns))
+    assert cli_text("closed-form", "--family", family, f"--range={lo}..{hi}",
+                    "--format", "csv") == (0, want)
+
+
+def largest(obj) -> int:
+    """The most items any list, tuple or dict in ``obj`` holds."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if not isinstance(obj, (list, tuple)):
+        return 0
+    return max([len(obj), *map(largest, obj)])
+
+
+class TestIntegerTextSkipsTheEncoder:
+    """Documents and integer tables are laid out by template: the JSON
+    encoder sees only small cells, such as a document's tail rules, however
+    many values there are."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        sizes = []
+        dumps = json.dumps
+
+        def recording(obj, *args, **kwargs):
+            sizes.append(largest(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", recording)
+        return sizes
+
+    def test_a_document(self, encoded):
+        to_json(SeqWindow(-3, range(2000), left=Periodic((1, -2, 3))))
+        assert encoded and max(encoded) <= 4
+
+    @pytest.mark.parametrize("sequence", TABLES)
+    def test_a_reference_table(self, encoded, sequence):
+        assert cli_text("reference", "--sequence", sequence, "--count",
+                        "2000", "--format", "json")[0] == 0
+        assert max(encoded, default=0) <= 4
+
+
 # --- rows and tails ------------------------------------------------------------------
 
 units = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(tuple)
 rules = st.one_of(st.none(), st.builds(Periodic, units))
 windows = st.builds(
     SeqWindow, st.integers(-20, 20),
-    st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=10),
+    st.lists(st.integers(-10 ** 300, 10 ** 300), min_size=1, max_size=10),
     left=rules, right=rules)
 
 
@@ -156,6 +248,12 @@ class TestRows:
     @given(windows)
     def test_to_csv_defaults_to_the_stored_span(self, w):
         assert to_csv(w) == csv_writer_rows(w, w.lo, w.hi)
+
+    @given(windows)
+    @example(SeqWindow(0, [-10 ** 300], right=Periodic((5, -6))))
+    @example(SeqWindow(-1, [10 ** 300, 7], left=Periodic((0,))))
+    def test_to_json_matches_the_indented_encoder(self, w):
+        assert to_json(w) == json.dumps(to_document(w), indent=2)
 
     def test_tails_on_both_sides(self):
         w = SeqWindow(3, (10, 20), left=Periodic((1, 2, 3)),
