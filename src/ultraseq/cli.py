@@ -25,8 +25,8 @@ from .seqcore import (
     SeqWindow,
     from_csv,
     from_json,
+    int_rows,
     json_table,
-    json_text,
     to_csv,
     to_json,
 )
@@ -205,26 +205,26 @@ def _cmd_diff(args) -> tuple[str, int]:
 
 def _cmd_closed_form(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
-    names, columns = parse_family(args.family).closed_row(lo, hi)
+    names, values = parse_family(args.family).closed_row(lo, hi)
     header = ("index", *names)
-    rows = zip(range(lo, hi + 1), *columns)
-    mismatch = any(col != columns[0] for col in columns[1:])
-    if args.format == "csv":
-        # csv.writer never quotes an int or these names
-        row = ",".join(["%d"] * len(header)) + "\n"
-        text = ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
-    elif args.format == "table":
-        text = "\n".join("  ".join(str(c) for c in row)
-                         for row in [header, *rows]) + "\n"
+    columns = (range(lo, hi + 1), *values)
+    mismatch = any(col != values[0] for col in values[1:])
+    if args.format == "json":
+        text = json_table(header, list(zip(*columns)))
     else:
-        text = _render(header, list(rows), args.format)
+        text = int_rows(header, columns, "," if args.format == "csv" else "  ")
     return text, 1 if mismatch else 0
+
+
+#: ``enumerate --format json``, as the indented JSON encoder writes it; a
+#: descriptor holds no character that JSON escapes
+_ENUMERATION = '{\n  "count": %d,\n  "configs": [\n    "%s"\n  ]\n}'
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
     descriptors = tau_enumerate(args.m, canonical=args.canonical).descriptors
     if args.format == "json":
-        text = json_text({"count": len(descriptors), "configs": descriptors})
+        text = _ENUMERATION % (len(descriptors), '",\n    "'.join(descriptors))
     elif args.format == "csv":
         text = _render(("descriptor",), [(d,) for d in descriptors], "csv")
     else:
@@ -254,7 +254,8 @@ def _cmd_approx(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-#: one row of ``reference --format json``, as ``json.dumps`` indents it
+#: one row of ``reference --format json``, as the indented JSON encoder
+#: writes it
 _JSON_ROW = '{\n    "index": %d,\n    "value": "%d"\n  }'
 
 
@@ -267,15 +268,14 @@ def _cmd_reference(args) -> tuple[str, int]:
         table = reference.hofstadter_q_table(n)
     else:
         table = reference.conway_table(n)
-    # every cell is an int, so one template per format lays out the table
-    cells = tuple(chain.from_iterable(
-        zip(range(1, n + 1), islice(table, 1, None))))
+    columns = (range(1, n + 1), islice(table, 1, None))
     if args.format == "csv":
-        text = "index,value\n" + "%d,%d\n" * n % cells
+        text = int_rows(("index", "value"), columns)
     elif args.format == "json":
+        cells = tuple(chain.from_iterable(zip(*columns)))
         text = "[\n  " + ",\n  ".join([_JSON_ROW] * n) % cells + "\n]"
     else:
-        text = "%d  %d\n" * n % cells
+        text = int_rows((), columns, "  ")
     return text, 0
 
 

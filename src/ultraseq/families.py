@@ -76,7 +76,7 @@ def pi_closed(m: int, n: int, method: str = "fib") -> int:
     if m < 1 or n < 0:
         raise ValueError("require m >= 1 and n >= 0")
     if method == "fib":
-        return m * fib(n - 1) + 2 * fib(n + 2) - 2
+        return pi_fib_row(m, n, n)[0]
     if method == "quad":
         return pi_quad_row(m, n, n)[0]
     raise ValueError(f"unknown method {method!r}")
@@ -252,7 +252,7 @@ def pi_star_even_closed(m: int, n: int) -> int:
     """Closed form for the even-index values, asserted against construction."""
     if m < 1 or 2 * n < 4:
         raise ValueError("require m >= 1 and 2n >= 4")
-    value = 2 ** (n - 1) * (m + 10) - 6
+    value = pi_star_closed_row(m, 2 * n, 2 * n)[0]
     if _pi_star_right(m, 2 * n)[2 * n] != value:
         raise IdentityViolation(
             f"even-index closed form failed at m={m}, n={n}")

@@ -593,84 +593,39 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
     return SeqWindow(lo, added(lo, hi), left=left, right=right)
 
 
-# --- JSON text ------------------------------------------------------------------
+# --- text ----------------------------------------------------------------------
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def json_text(obj) -> str:
-    """Exactly the text ``json.dumps`` writes with ``indent`` 2, from
-    C-level encoder calls.
-
-    CPython runs its C encoder only when ``indent`` is None; with an indent
-    it falls back to a generator in pure Python.  So the indentation is put
-    into the item separator instead: a container whose items are all
-    scalars is one ``json.dumps`` call with the separator ``",\n" + indent``,
-    and other containers recurse.  This is exact because ``ensure_ascii``
-    escapes every control character inside a string, so an encoded scalar
-    never holds a newline: each newline in the encoder's output is one that
-    the separator put there.  ``json_table`` encodes all the cells of a
-    table in one call on the same ground.
-    """
-    out: list[str] = []
-    _json_into(out, obj, "\n")
-    return "".join(out)
+def int_rows(header: Sequence[str], columns: Sequence[Iterable[int]],
+             sep: str = ",") -> str:
+    """One ``sep``-separated line per row of the zipped integer ``columns``,
+    after a header line unless ``header`` is empty, from one ``%d`` template:
+    with "," the bytes the csv module writes, as it quotes no int."""
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    row = sep.join(["%d"] * len(columns)) + "\n"
+    head = sep.join(header) + "\n" if header else ""
+    return head + row * (len(cells) // len(columns)) % cells
 
 
 def json_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """``json_text`` of the objects that pair the distinct names in
-    ``header`` with each row's cells, without building the objects: the
-    cells from one encoder call, laid out by one ``%`` template."""
+    """The text ``json.dumps`` writes with ``indent`` 2 for the objects that
+    pair the distinct names of the non-empty ``header`` with each row's
+    cells, every one a JSON scalar, without building the objects.
+
+    CPython's encoder runs in C only when ``indent`` is None, so the cells
+    are encoded in one such call, a newline between each two, and laid out
+    by one ``%`` template.  ``ensure_ascii`` escapes every control character
+    in a string, so every newline in that call's output separates two cells.
+    """
     if not rows:
         return "[]"
-    cells = list(chain.from_iterable(rows))
-    if (not header or len(cells) != len(header) * len(rows)
-            or not set(map(type, cells)) <= _SCALARS):
-        return json_text([dict(zip(header, row)) for row in rows])
-    row = ("{" + ",".join("\n    " + _json_key(k).replace("%", "%%") + ": %s"
+    row = ("{" + ",".join("\n    " + json.dumps(k).replace("%", "%%") + ": %s"
                           for k in header) + "\n  }")
-    # one cell to a line, so each newline separates two cells
-    parts = json.dumps(cells, separators=("\n", ": ")).split("\n")
+    parts = json.dumps(list(chain.from_iterable(rows)),
+                       separators=("\n", ": ")).split("\n")
     parts[0] = parts[0][1:]
     parts[-1] = parts[-1][:-1]
     rest = (",\n  " + row) * (len(rows) - 1)
     return "".join(("[\n  ", row, rest, "\n]")) % tuple(parts)
-
-
-def _json_into(out: list[str], obj, nl: str) -> None:
-    """Append ``obj``'s text to ``out``, indenting its later lines by
-    ``nl``, the newline and indent of its first."""
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        out.append(json.dumps(obj))
-        return
-    inner = nl + "  "
-    if not obj:
-        out.append("{}" if is_dict else "[]")
-    elif set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
-        text = json.dumps(obj, separators=("," + inner, ": "))
-        out += text[0], inner, text[1:-1], nl, text[-1]
-    elif is_dict:
-        sep = inner
-        out.append("{")
-        for k, v in obj.items():
-            out += sep, _json_key(k), ": "
-            _json_into(out, v, inner)
-            sep = "," + inner
-        out += nl, "}"
-    else:
-        sep = inner
-        out.append("[")
-        for v in obj:
-            out.append(sep)
-            _json_into(out, v, inner)
-            sep = "," + inner
-        out += nl, "]"
-
-
-def _json_key(key) -> str:
-    """A key as json writes it: a str, or a scalar turned into one."""
-    return json.dumps({key: 0})[1:-4]
 
 
 # --- serialization -----------------------------------------------------------
@@ -747,15 +702,18 @@ def from_document(d: dict) -> SeqWindow:
 
 _DOCUMENT = ('{\n  "lo": %d,\n  "values": [\n    "%s"\n  ],\n'
              '  "left": %s,\n  "right": %s\n}')
+_UNDEFINED = '{\n    "kind": "undefined"\n  }'
+_PERIODIC = '{\n    "kind": "periodic",\n    "unit": [\n      "%s"\n    ]\n  }'
 
 
 def to_json(w: SeqWindow) -> str:
-    """``json_text`` of ``to_document(w)``, laid out by one template: the
-    values are ``str`` of ints, so none needs escaping and they are joined
-    as they are; the two rule objects go through ``json_text``."""
+    """The indented JSON text of ``to_document(w)``, laid out by templates:
+    every string in a document is ``str`` of an int, so none needs escaping
+    and they are joined as they are."""
     d = to_document(w)
-    left, right = (json_text(d[side]).replace("\n", "\n  ")
-                   for side in ("left", "right"))
+    left, right = (_PERIODIC % '",\n      "'.join(rule["unit"])
+                   if rule["kind"] == "periodic" else _UNDEFINED
+                   for rule in (d["left"], d["right"]))
     return _DOCUMENT % (d["lo"], '",\n    "'.join(d["values"]), left, right)
 
 
@@ -769,14 +727,12 @@ def from_json(text: str) -> SeqWindow:
 
 
 def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> str:
-    """``index,value`` rows with header, LF line endings, in one join; the
-    bytes ``csv.writer`` wrote, since it never quotes an int."""
+    """``index,value`` rows with header, LF line endings (``int_rows``)."""
     if a is None:
         a = w.lo
     if b is None:
         b = w.hi
-    return "index,value\n" + "".join(
-        map("%d,%d\n".__mod__, zip(range(a, b + 1), w.slice(a, b))))
+    return int_rows(("index", "value"), (range(a, b + 1), w.slice(a, b)))
 
 
 def from_csv(text: str) -> SeqWindow:

@@ -74,6 +74,11 @@ SEED_MATRIX = [
 ]
 
 
+def pi_fib_form(m: int, n: int) -> int:
+    """The pi row's scalar closed form, one Fibonacci pair per index."""
+    return m * fib(n - 1) + 2 * fib(n + 2) - 2
+
+
 class TestPiFamily:
     def test_matrix_reproduction(self):
         for m, row in enumerate(PI_MATRIX, start=1):
@@ -84,12 +89,13 @@ class TestPiFamily:
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=120))
     def test_closed_form_methods_agree(self, m, n):
-        assert pi_closed(m, n, "fib") == pi_closed(m, n, "quad")
+        assert (pi_closed(m, n, "fib") == pi_closed(m, n, "quad")
+                == pi_fib_form(m, n))
 
     @pytest.mark.parametrize("m, lo, hi", [(1, 0, 30), (7, 37, 45),
                                            (9, 150, 151), (4, 12, 12)])
     def test_quad_row_matches_fib_form(self, m, lo, hi):
-        assert pi_quad_row(m, lo, hi) == [pi_closed(m, n, "fib")
+        assert pi_quad_row(m, lo, hi) == [pi_fib_form(m, n)
                                           for n in range(lo, hi + 1)]
 
     @given(st.integers(1, 9), st.integers(0, 300), st.integers(0, 60))
@@ -98,7 +104,7 @@ class TestPiFamily:
     def test_fib_row_matches_per_index_fib_form(self, m, lo, width):
         # lo = 0 starts the row from F(-1) = 1
         assert pi_fib_row(m, lo, lo + width) == [
-            pi_closed(m, n, "fib") for n in range(lo, lo + width + 1)]
+            pi_fib_form(m, n) for n in range(lo, lo + width + 1)]
 
     @pytest.mark.parametrize("lo, hi", [(-1, 3), (5, 4)])
     def test_rows_reject_bad_bounds(self, lo, hi):
