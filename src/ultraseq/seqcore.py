@@ -16,9 +16,9 @@ import operator
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, cycle, islice, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -37,10 +37,7 @@ DEFAULT_MAX_WINDOW = 10 ** 6
 
 
 def max_window_len() -> int:
-    raw = os.environ.get(MAX_WINDOW_ENV)
-    if raw is None:
-        return DEFAULT_MAX_WINDOW
-    return int(raw)
+    return int(os.environ.get(MAX_WINDOW_ENV, DEFAULT_MAX_WINDOW))
 
 
 def check_window_len(size: int, what: str = "window") -> None:
@@ -112,22 +109,10 @@ class SeqWindow:
         return self.lo + len(self.values) - 1
 
     def defined(self, k: int) -> bool:
-        if k < self.lo:
-            return self.left is not None
-        if k > self.hi:
-            return self.right is not None
-        return True
+        return _column(self, k, k)[0] is not None
 
     def value_at(self, k: int) -> int:
-        if self.lo <= k <= self.hi:
-            return self.values[k - self.lo]
-        if k < self.lo:
-            if self.left is None:
-                raise OutOfDomain(k)
-            return self.left.unit[(k - self.lo) % self.left.period]
-        if self.right is None:
-            raise OutOfDomain(k)
-        return self.right.unit[(k - self.hi - 1) % self.right.period]
+        return self.slice(k, k)[0]
 
     @cached_property
     def _prefix(self) -> list[int]:
@@ -136,25 +121,15 @@ class SeqWindow:
         return list(accumulate(self.values, initial=0))
 
     def slice(self, a: int, b: int) -> list[int]:
-        """Values at positions a..b inclusive: one tuple slice of the stored
-        span, the tail positions filled from their units.  A range over the
-        cap is refused before anything is built; an undefined side raises
-        ``OutOfDomain`` at its first position in the range."""
-        if a > b:
-            return []
-        check_window_len(b - a + 1, "range")
-        lo, hi = self.lo, self.hi
-        if a < lo and self.left is None:
+        """Values at positions a..b inclusive, ``_column``'s list.  A range
+        over the cap is refused before anything is built; an undefined side
+        raises ``OutOfDomain`` at its first position in the range."""
+        col = _column(self, a, b)
+        if col and a < self.lo and self.left is None:
             raise OutOfDomain(a)
-        if b > hi and self.right is None:
-            raise OutOfDomain(max(a, hi + 1))
-        out: list[int] = []
-        if a < lo:
-            out += self.left.take(a - lo, min(b, lo - 1) - lo)
-        out += self.values[max(a - lo, 0):max(b - lo + 1, 0)]
-        if b > hi:
-            out += self.right.take(max(a, hi + 1) - hi - 1, b - hi - 1)
-        return out
+        if col and b > self.hi and self.right is None:
+            raise OutOfDomain(max(a, self.hi + 1))
+        return col
 
     def __repr__(self) -> str:
         def tail(rule):
@@ -234,19 +209,24 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
 
 
 def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
-    """Values at positions a..b, None at each undefined one: one ``slice``
-    of the defined part, padded on either side, or that slice itself when
-    the whole range is defined.  A range over the cap is refused before
-    anything is built."""
+    """Values at positions a..b, None at each undefined one: the one reader
+    of a window, by one slice of its span and ``Periodic.take`` per periodic
+    side.  A range over the cap is refused before anything is built."""
+    if a > b:
+        return []
     check_window_len(b - a + 1, "range")
-    da = max(a, w.lo) if w.left is None else a
-    db = min(b, w.hi) if w.right is None else b
-    if da > db:
-        return [None] * (b - a + 1)
-    col = w.slice(da, db)
-    if da == a and db == b:
-        return col
-    return [None] * (da - a) + col + [None] * (b - db)
+    lo, hi = w.lo, w.hi
+    out: list[Optional[int]] = []
+    if a < lo:  # positions a..end on the left side
+        end = min(b, lo - 1)
+        out += (repeat(None, end - a + 1) if w.left is None
+                else w.left.take(a - lo, end - lo))
+    out += w.values[max(a - lo, 0):max(b - lo + 1, 0)]
+    if b > hi:  # positions start..b on the right side
+        start = max(a, hi + 1)
+        out += (repeat(None, b - start + 1) if w.right is None
+                else w.right.take(start - hi - 1, b - hi - 1))
+    return out
 
 
 # --- shift-invariant maps ----------------------------------------------------
@@ -364,7 +344,7 @@ class CheckEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckReport:
-    entries: tuple[CheckEntry, ...] = field(default_factory=tuple)
+    entries: tuple[CheckEntry, ...]
 
     def __init__(self, entries: Iterable[CheckEntry]):
         entries = tuple(entries)
@@ -517,14 +497,13 @@ def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
     if not s:
         raise ValueError("segment must be nonempty")
     beta = alpha + len(s) - 1
-    for n, a in enumerate(s[:-1], alpha):
-        reach = n + sign(a) - a
-        if not (alpha <= reach <= beta):
-            return FreeCheck(False, n, 1)
-    w = SeqWindow(alpha, s)  # condition 1 keeps every summand inside
-    for n, want in enumerate(o_successors(w, alpha, beta - 1), alpha):
-        if s[n + 1 - alpha] != want:
-            return FreeCheck(False, n, 2)
+    if beta > alpha:
+        # a summand outside [alpha, beta] leaves a position uncheckable
+        entries = verify_O_range(SeqWindow(alpha, s), alpha, beta - 1).entries
+        for condition, status in enumerate((UNCHECKABLE, VIOLATION), 1):
+            for e in entries:
+                if e.status == status:
+                    return FreeCheck(False, e.position, condition)
     if s[-1] != -2:
         return FreeCheck(False, beta, 3)
     return FreeCheck(True)
@@ -599,11 +578,14 @@ def int_rows(header: Sequence[str], columns: Sequence[Iterable[int]],
              sep: str = ",") -> str:
     """One ``sep``-separated line per row of the zipped integer ``columns``,
     after a header line unless ``header`` is empty, from one ``%d`` template:
-    with "," the bytes the csv module writes, as it quotes no int."""
+    with "," the bytes the csv module writes, as it quotes no int.  The end
+    rows' largest cell goes first, to refuse it at once (``to_document``)."""
+    width = len(columns)
     cells = tuple(chain.from_iterable(zip(*columns)))
-    row = sep.join(["%d"] * len(columns)) + "\n"
+    "%d" % max(cells[:width] + cells[-width:], key=abs, default=0)
+    row = sep.join(["%d"] * width) + "\n"
     head = sep.join(header) + "\n" if header else ""
-    return head + row * (len(cells) // len(columns)) % cells
+    return head + row * (len(cells) // width) % cells
 
 
 def json_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -674,7 +656,10 @@ def _rule_from_json(d: dict) -> ExtRule:
 
 
 def to_document(w: SeqWindow) -> dict:
-    """JSON-ready document; values as decimal strings to stay bit-exact."""
+    """JSON-ready document; values as decimal strings to stay bit-exact.  The
+    larger end goes first: a row grows toward an end, so one past the digit
+    limit is refused after one conversion."""
+    str(max(w.values[0], w.values[-1], key=abs))
     return {
         "lo": w.lo,
         "values": list(map(str, w.values)),

@@ -1,22 +1,23 @@
 """The fast text layer and tail kernel against their per-value forms.
 
 Each oracle here is the form the fast path replaced: ``json.dumps`` with an
-indent (CPython's pure-Python encoder), a ``csv.writer`` loop over
-``value_at`` or over a table's rows, one ``value_at`` per position, and the
+indent (CPython's pure-Python encoder), a ``csv.writer`` loop over a
+table's rows, a per-position reader with its own tail arithmetic, and the
 O(period) tail sum.
 """
 import contextlib
 import csv
 import io
 import json
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from test_cli_golden import GOLDEN, docs  # noqa: F401  (docs is a fixture)
-from ultraseq import reference
+from ultraseq import reference, seqcore
 from ultraseq.cli import dispatch
-from ultraseq.errors import OutOfDomain
+from ultraseq.errors import OutOfDomain, TooLarge
 from ultraseq.families import parse_family, tau_enumerate
 from ultraseq.seqcore import (
     Periodic,
@@ -49,9 +50,28 @@ def joined_rows(header, rows, sep: str) -> str:
     return "".join(sep.join(map(str, line)) + "\n" for line in lines)
 
 
+def read_at(w: SeqWindow, k: int) -> Optional[int]:
+    """The value at k, None where undefined: a left tail's unit ends at
+    lo - 1, a right tail's starts at hi + 1."""
+    if k < w.lo:
+        return w.left and w.left.unit[(k - w.lo) % len(w.left.unit)]
+    if k > w.hi:
+        return w.right and w.right.unit[(k - w.hi - 1) % len(w.right.unit)]
+    return w.values[k - w.lo]
+
+
+def per_position(w: SeqWindow, a: int, b: int) -> list[int]:
+    """``read_at`` over a..b, or OutOfDomain at the first undefined
+    position."""
+    col = [read_at(w, k) for k in range(a, b + 1)]
+    if None in col:
+        raise OutOfDomain(a + col.index(None))
+    return col
+
+
 def csv_writer_rows(w: SeqWindow, a: int, b: int) -> str:
     return csv_writer(["index", "value"],
-                      ([k, w.value_at(k)] for k in range(a, b + 1)))
+                      zip(range(a, b + 1), per_position(w, a, b)))
 
 
 def cli_text(*argv: str) -> tuple[int, str]:
@@ -68,10 +88,6 @@ def outcome(f, *args):
         return f(*args)
     except OutOfDomain as exc:
         return ("OutOfDomain", exc.index)
-
-
-def per_position(w: SeqWindow, a: int, b: int) -> list[int]:
-    return [w.value_at(k) for k in range(a, b + 1)]
 
 
 def period_loop_sum(unit: tuple[int, ...], t0: int, t1: int) -> int:
@@ -275,7 +291,7 @@ windows = st.builds(
 
 class TestRows:
     @given(windows, st.integers(-30, 30), st.integers(0, 40))
-    def test_slice_matches_value_at(self, w, a, length):
+    def test_slice_matches_the_per_position_reader(self, w, a, length):
         b = a + length - 1
         assert outcome(w.slice, a, b) == outcome(per_position, w, a, b)
 
@@ -301,6 +317,93 @@ class TestRows:
             for b in range(a - 1, 14):
                 assert w.slice(a, b) == per_position(w, a, b)
                 assert to_csv(w, a, b) == csv_writer_rows(w, a, b)
+
+
+class TestOneReader:
+    """``_column`` is the one reader of a window; ``slice``, ``value_at`` and
+    ``defined`` are views of it, each against ``read_at``."""
+
+    @given(windows, st.integers(-30, 30), st.integers(0, 40))
+    def test_column_is_the_per_position_reader(self, w, a, length):
+        b = a + length - 1
+        assert seqcore._column(w, a, b) == [read_at(w, k)
+                                            for k in range(a, b + 1)]
+
+    @given(windows, st.integers(-30, 30))
+    def test_value_at_and_defined_are_the_reader(self, w, k):
+        assert outcome(w.value_at, k) == outcome(
+            lambda: per_position(w, k, k)[0])
+        assert w.defined(k) == (read_at(w, k) is not None)
+
+    def test_out_of_domain_names_the_first_undefined_position(self):
+        w = SeqWindow(3, (10, 20))
+        no_right = SeqWindow(3, (10, 20), left=Periodic((1, 2)))
+        no_left = SeqWindow(3, (10, 20), right=Periodic((1, 2)))
+        for view, a, b, index in [
+                (w, 0, 4, 0), (w, 2, 9, 2), (w, 3, 9, 5), (w, 6, 9, 6),
+                (no_right, -5, 9, 5), (no_right, 5, 5, 5),
+                (no_left, -5, 9, -5), (no_left, 2, 2, 2)]:
+            assert outcome(view.slice, a, b) == ("OutOfDomain", index)
+            assert outcome(view.value_at, a) == (
+                ("OutOfDomain", a) if read_at(view, a) is None
+                else read_at(view, a))
+        assert w.slice(5, 4) == w.slice(-9, -10) == []
+
+    def test_the_cap_is_refused_before_an_undefined_side(self, monkeypatch):
+        monkeypatch.setenv("ULTRASEQ_MAX_WINDOW", "5")
+        w = SeqWindow(0, (1, 2))
+        for a, b in [(-10, 0), (0, 9), (-3, 3), (20, 25)]:
+            for read in (w.slice, lambda a, b: seqcore._column(w, a, b)):
+                with pytest.raises(TooLarge):
+                    read(a, b)
+        with pytest.raises(OutOfDomain):
+            w.slice(-2, 2)  # five positions, at the cap
+
+
+class TestDigitLimitFirst:
+    """A row past ``str``'s digit limit is refused after one conversion:
+    the larger end goes first."""
+
+    BIG = 10 ** 5000
+
+    def test_to_document_converts_the_larger_end_first(self, monkeypatch):
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return str(x)
+
+        monkeypatch.setattr(seqcore, "str", counting, raising=False)
+        for values in ([1, 2, self.BIG], [-self.BIG, 2, 3]):
+            seen.clear()
+            with pytest.raises(ValueError, match="4300 digits"):
+                to_document(SeqWindow(0, values))
+            assert [x.bit_length() for x in seen] == [self.BIG.bit_length()]
+        seen.clear()
+        doc = to_document(SeqWindow(0, [5, -7, -6]))
+        assert seen == [-6, 5, -7, -6] and doc["values"] == ["5", "-7", "-6"]
+
+    def test_int_rows_writes_the_larger_end_cell_first(self):
+        seen = []
+
+        class Cell:  # ``%d`` reads it through __index__
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                seen.append(self.value)
+                return self.value
+
+            def __abs__(self):
+                return abs(self.value)
+
+        def cells(*values):
+            return [Cell(v) for v in values]
+
+        assert int_rows(["a", "b"], [cells(1, 2, 3), cells(-9, 5, 8)]) == (
+            "a,b\n1,-9\n2,5\n3,8\n")
+        assert seen == [-9, 1, -9, 2, 5, 3, 8]
+        assert int_rows(["a"], [[]]) == "a\n"
 
 
 class TestTailSum:
