@@ -4,11 +4,9 @@ reference sequences, and import/export of sequence documents."""
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import reference, seqcore
@@ -25,8 +23,6 @@ from .seqcore import (
     SeqWindow,
     from_csv,
     from_json,
-    int_rows,
-    json_table,
     to_csv,
     to_json,
 )
@@ -44,19 +40,15 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text)
 
 
-def _render(header: Sequence[str], rows, fmt: str) -> str:
-    """csv with a header row, or json as a list of objects keyed by it."""
-    if fmt == "json":
-        return json_table(header, rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _json_object(**cells: str) -> str:
+    """One object of a list as ``json.dumps`` with ``indent`` 2 writes it,
+    from keys that need no escaping and the template of each value."""
+    return ("{" + ",".join(f'\n    "{k}": {v}' for k, v in cells.items())
+            + "\n  }")
 
 
-def _decimal(value: Optional[int]) -> Optional[str]:
-    return None if value is None else str(value)
+#: the head, separator and tail of a list of ``_json_object`` rows
+_JSON_LIST = ("[\n  ", ",\n  ", "\n]")
 
 
 def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
@@ -66,8 +58,7 @@ def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     if fmt == "json":
         return to_json(SeqWindow(lo, values))
     width = max(len(str(k)) for k in (lo, hi))
-    return "".join(f"{k:>{width}}  {v}\n"
-                   for k, v in zip(range(lo, hi + 1), values))
+    return seqcore.int_rows((range(lo, hi + 1), values), f"%{width}d  %d\n")
 
 
 def _command(sub, name: str, run, summary: str,
@@ -169,6 +160,19 @@ def _cmd_gen(args) -> tuple[str, int]:
     return _format_rows(w, lo, hi, args.format), 0
 
 
+#: a ``verify`` row by format and status; an uncheckable position has no
+#: values, and its templates write none
+_VERIFY_ROWS = {
+    "csv": {"ok": "%d,%d,%d,ok\n", "violation": "%d,%d,%d,violation\n",
+            "uncheckable": "%d,,,uncheckable\n"},
+    "json": {status: _json_object(position="%d", expected=value,
+                                  actual=value, status=f'"{status}"')
+             for status, value in (("ok", '"%d"'), ("violation", '"%d"'),
+                                   ("uncheckable", "null"))},
+}
+_VIOLATION = "violation at %d: expected %d, got %d\n"
+
+
 def _cmd_verify(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
     if (args.family is None) == (args.input is None):
@@ -179,17 +183,17 @@ def _cmd_verify(args) -> tuple[str, int]:
         w = _load_input(args.input)
     report = seqcore.verify_O_range(w, lo, hi)
     if args.format == "table":
-        lines = [f"{report.ok_count} ok, {report.violation_count} violations, "
-                 f"{report.uncheckable_count} uncheckable"]
-        for e in report.violations():
-            lines.append(f"violation at {e.position}: expected {e.expected}, "
-                         f"got {e.actual}")
-        text = "\n".join(lines) + "\n"
+        bad = report.violations()
+        text = seqcore.int_rows(
+            [[e[i] for e in bad] for i in range(3)], _VIOLATION,
+            f"{report.ok_count} ok, {report.violation_count} violations, "
+            f"{report.uncheckable_count} uncheckable\n")
     else:
-        text = _render(
-            ("position", "expected", "actual", "status"),
-            [(e.position, _decimal(e.expected), _decimal(e.actual), e.status)
-             for e in report.entries], args.format)
+        *columns, statuses = zip(*report.entries)
+        rows = map(_VERIFY_ROWS[args.format].__getitem__, statuses)
+        layout = _JSON_LIST if args.format == "json" else (
+            "position,expected,actual,status\n",)
+        text = seqcore.int_rows(columns, rows, *layout)
     failed = report.violation_count or (args.strict and report.uncheckable_count)
     return text, 1 if failed else 0
 
@@ -210,9 +214,12 @@ def _cmd_closed_form(args) -> tuple[str, int]:
     columns = (range(lo, hi + 1), *values)
     mismatch = any(col != values[0] for col in values[1:])
     if args.format == "json":
-        text = json_table(header, list(zip(*columns)))
+        text = seqcore.int_rows(
+            columns, _json_object(**dict.fromkeys(header, "%d")), *_JSON_LIST)
     else:
-        text = int_rows(header, columns, "," if args.format == "csv" else "  ")
+        sep = "," if args.format == "csv" else "  "
+        text = seqcore.int_rows(columns, sep.join(["%d"] * len(header)) + "\n",
+                                sep.join(header) + "\n")
     return text, 1 if mismatch else 0
 
 
@@ -226,7 +233,8 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     if args.format == "json":
         text = _ENUMERATION % (len(descriptors), '",\n    "'.join(descriptors))
     elif args.format == "csv":
-        text = _render(("descriptor",), [(d,) for d in descriptors], "csv")
+        # a descriptor holds commas but no quote
+        text = "descriptor\n" + '"%s"\n' * len(descriptors) % descriptors
     else:
         text = "\n".join(descriptors) + f"\n{len(descriptors)} configurations\n"
     return text, 0
@@ -241,22 +249,30 @@ def _cmd_approx(args) -> tuple[str, int]:
         raise ValueError("--rmax must be >= 0")
     w = family.window(0, args.base + args.rmax + 2)
     report = approx_report(w, family.growth_m, args.base, args.rmax)
-    rows = [(row.r, fixed_point(row.predicted, 3), str(row.exact),
-             row.rel_error) for row in report.rows]
-    if args.format != "table":
-        return _render(("r", "predicted", "exact", "rel_error"), rows,
-                       args.format), 0
-    lines = [f"xi = {report.model.xi}, phi_m = {report.model.phi_m:.6f}",
-             f"empirical ratio = {report.empirical_ratio:.6f} "
-             f"(relative error {report.ratio_rel_error:.4%})"]
-    lines += [f"r={r}  predicted={p}  exact={e}  rel_error={x:.4%}"
-              for r, p, e, x in rows]
-    return "\n".join(lines) + "\n", 0
+    *columns, rel_error = zip(*(
+        (row.r, fixed_point(row.predicted, 3), row.exact, row.rel_error)
+        for row in report.rows))
+    if args.format == "json":
+        return seqcore.int_rows((*columns, rel_error), _APPROX_JSON,
+                                *_JSON_LIST), 0
+    if args.format == "csv":
+        return seqcore.int_rows((*columns, rel_error), "%d,%s,%d,%r\n",
+                                "r,predicted,exact,rel_error\n"), 0
+    # "%.4f%%" of 100 * x is the text of f"{x:.4%}"
+    return seqcore.int_rows(
+        (*columns, [100 * x for x in rel_error]),
+        "r=%d  predicted=%s  exact=%d  rel_error=%.4f%%\n",
+        f"xi = {report.model.xi}, phi_m = {report.model.phi_m:.6f}\n"
+        f"empirical ratio = {report.empirical_ratio:.6f} "
+        f"(relative error {report.ratio_rel_error:.4%})\n"), 0
 
 
-#: one row of ``reference --format json``, as the indented JSON encoder
-#: writes it
-_JSON_ROW = '{\n    "index": %d,\n    "value": "%d"\n  }'
+#: an ``approx`` row in json: ``predicted`` is ``fixed_point`` text and
+#: ``rel_error`` a finite float, whose ``%r`` is the encoder's text
+_APPROX_JSON = _json_object(r="%d", predicted='"%s"', exact='"%d"',
+                            rel_error="%r")
+#: a row of ``reference --format json``
+_JSON_ROW = _json_object(index="%d", value='"%d"')
 
 
 def _cmd_reference(args) -> tuple[str, int]:
@@ -270,12 +286,11 @@ def _cmd_reference(args) -> tuple[str, int]:
         table = reference.conway_table(n)
     columns = (range(1, n + 1), islice(table, 1, None))
     if args.format == "csv":
-        text = int_rows(("index", "value"), columns)
+        text = seqcore.int_rows(columns, "%d,%d\n", "index,value\n")
     elif args.format == "json":
-        cells = tuple(chain.from_iterable(zip(*columns)))
-        text = "[\n  " + ",\n  ".join([_JSON_ROW] * n) % cells + "\n]"
+        text = seqcore.int_rows(columns, _JSON_ROW, *_JSON_LIST)
     else:
-        text = int_rows((), columns, "  ")
+        text = seqcore.int_rows(columns, "%d  %d\n")
     return text, 0
 
 

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, cycle, islice, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -574,40 +574,23 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
 
 # --- text ----------------------------------------------------------------------
 
-def int_rows(header: Sequence[str], columns: Sequence[Iterable[int]],
-             sep: str = ",") -> str:
-    """One ``sep``-separated line per row of the zipped integer ``columns``,
-    after a header line unless ``header`` is empty, from one ``%d`` template:
-    with "," the bytes the csv module writes, as it quotes no int.  The end
-    rows' largest cell goes first, to refuse it at once (``to_document``)."""
+def int_rows(columns: Sequence[Iterable], row: Union[str, Iterable[str]],
+             head: str = "", sep: str = "", tail: str = "") -> str:
+    """``head``, then the ``%`` template ``row`` for each row of the zipped
+    ``columns``, ``sep`` between each two, then ``tail``: the one writer of
+    integer text, by one ``%`` over every cell.  ``row`` may instead be one
+    template per row, each leaving out its row's None cells, so that no
+    None becomes text.  The largest integer cell of the end rows goes
+    first, to refuse it at once (``to_document``)."""
     width = len(columns)
     cells = tuple(chain.from_iterable(zip(*columns)))
-    "%d" % max(cells[:width] + cells[-width:], key=abs, default=0)
-    row = sep.join(["%d"] * width) + "\n"
-    head = sep.join(header) + "\n" if header else ""
-    return head + row * (len(cells) // width) % cells
-
-
-def json_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The text ``json.dumps`` writes with ``indent`` 2 for the objects that
-    pair the distinct names of the non-empty ``header`` with each row's
-    cells, every one a JSON scalar, without building the objects.
-
-    CPython's encoder runs in C only when ``indent`` is None, so the cells
-    are encoded in one such call, a newline between each two, and laid out
-    by one ``%`` template.  ``ensure_ascii`` escapes every control character
-    in a string, so every newline in that call's output separates two cells.
-    """
-    if not rows:
-        return "[]"
-    row = ("{" + ",".join("\n    " + json.dumps(k).replace("%", "%%") + ": %s"
-                          for k in header) + "\n  }")
-    parts = json.dumps(list(chain.from_iterable(rows)),
-                       separators=("\n", ": ")).split("\n")
-    parts[0] = parts[0][1:]
-    parts[-1] = parts[-1][:-1]
-    rest = (",\n  " + row) * (len(rows) - 1)
-    return "".join(("[\n  ", row, rest, "\n]")) % tuple(parts)
+    "%d" % max([c for c in cells[:width] + cells[-width:]
+                if hasattr(c, "__index__")], key=abs, default=0)
+    if isinstance(row, str):
+        row = [row] * (len(cells) // width)
+    else:
+        cells = tuple(filter(partial(operator.is_not, None), cells))
+    return "".join((head, sep.join(row) % cells, tail))
 
 
 # --- serialization -----------------------------------------------------------
@@ -717,7 +700,8 @@ def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> st
         a = w.lo
     if b is None:
         b = w.hi
-    return int_rows(("index", "value"), (range(a, b + 1), w.slice(a, b)))
+    return int_rows((range(a, b + 1), w.slice(a, b)), "%d,%d\n",
+                    "index,value\n")
 
 
 def from_csv(text: str) -> SeqWindow:

@@ -33,6 +33,15 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def target_names(target: ast.expr) -> list[str]:
+    """The names an assignment target binds, unpacked ones included."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for t in target.elts for n in target_names(t)]
+    if isinstance(target, ast.Starred):
+        return target_names(target.value)
+    return [target.id] if isinstance(target, ast.Name) else []
+
+
 def private_definitions(source: str) -> list[str]:
     """The module-level functions, classes and constants of ``source`` whose
     names start with one underscore."""
@@ -42,7 +51,7 @@ def private_definitions(source: str) -> list[str]:
                              ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            names += [n for t in node.targets for n in target_names(t)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.append(node.target.id)
@@ -87,3 +96,14 @@ def test_the_checks_see_dead_imports_and_helpers():
     other = "from .m import _dead\ndef f(m): return _dead() + m._Dead\n"
     assert dead_definitions({"m.py": source, "o.py": other}) == [
         ("m.py", "_ANNOTATED")]
+
+
+def test_the_checks_see_unread_templates():
+    """A ``%`` template is a private constant like any other, however it is
+    bound: alone, unpacked, or as a table of them."""
+    source = ('_ROW = "%d,%d\\n"\n_HEAD, (_SEP, *_TAIL) = "[", (",", "]")\n'
+              '_ROWS = {"ok": "%d,ok\\n"}\n_USED = "%d"\n'
+              'def write(cells): return _USED % cells + _SEP\n')
+    assert dead_definitions({"m.py": source}) == [
+        ("m.py", "_ROW"), ("m.py", "_HEAD"), ("m.py", "_TAIL"),
+        ("m.py", "_ROWS")]

@@ -9,13 +9,14 @@ import contextlib
 import csv
 import io
 import json
+import sys
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from test_cli_golden import GOLDEN, docs  # noqa: F401  (docs is a fixture)
-from ultraseq import reference, seqcore
+from ultraseq import cli, reference, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.errors import OutOfDomain, TooLarge
 from ultraseq.families import parse_family, tau_enumerate
@@ -23,7 +24,6 @@ from ultraseq.seqcore import (
     Periodic,
     SeqWindow,
     int_rows,
-    json_table,
     range_sum,
     to_csv,
     to_document,
@@ -102,32 +102,28 @@ def period_loop_sum(unit: tuple[int, ...], t0: int, t1: int) -> int:
 
 # --- JSON ------------------------------------------------------------------------
 
-texts = st.text(alphabet=st.sampled_from(
-    ["a", "s", "0", " ", "\n", "\r", "\t", '"', "\\", "%", "/", ",", ":",
-     "[", "]", "{", "}", "é", "π", "\u2028", "\x00", "😀"]), max_size=8)
-scalars = st.one_of(
-    st.none(), st.booleans(), texts,
-    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-    st.floats(allow_nan=True, allow_infinity=True))
 big_ints = st.integers(-10 ** 300, 10 ** 300)
 
 
 class TestJsonText:
-    @given(st.lists(texts, min_size=1, max_size=4, unique=True), st.data())
-    def test_json_table_is_the_list_of_objects(self, header, data):
-        rows = data.draw(st.lists(st.tuples(*[scalars] * len(header)),
-                                  max_size=5))
-        assert json_table(header, rows) == json.dumps(
-            [dict(zip(header, row)) for row in rows], indent=2)
-
     def test_a_number_over_the_digit_limit_is_refused_alike(self):
         big = 10 ** 5000
-        for write in (lambda: json_table(["a"], [(1,), (big,)]),
-                      lambda: json.dumps([{"a": 1}, {"a": big}], indent=2),
-                      lambda: int_rows(["a"], [[1, big]]),
+        for write in (lambda: json.dumps([{"a": 1}, {"a": big}], indent=2),
+                      lambda: int_rows([[1, big]], "%d\n", "a\n"),
                       lambda: csv_writer(["a"], [[1], [big]])):
             with pytest.raises(ValueError):
                 write()
+
+    @given(st.floats(min_value=0, allow_infinity=False))
+    @example(0.006690997566909975)
+    @example(1e16)
+    @example(5e-324)
+    def test_approx_float_cells_are_their_old_writers(self, x):
+        """``rel_error`` is a finite float >= 0: ``%r`` is the text that
+        ``json.dumps`` and ``csv.writer`` (``str``) wrote, and the table's
+        ``%.4f%%`` of 100 * x is ``{x:.4%}``."""
+        assert "%r" % x == json.dumps(x) == str(x)
+        assert "%.4f%%" % (100 * x) == f"{x:.4%}"
 
 
 @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
@@ -138,23 +134,31 @@ def test_int_rows_is_each_old_writer(table, named):
     width, rows = table
     columns = [[row[j] for row in rows] for j in range(width)]
     header = [f"c{j}" for j in range(width)] if named else []
-    assert int_rows(header, columns) == csv_writer(header, rows)
-    assert int_rows(header, columns, "  ") == joined_rows(header, rows, "  ")
+    for sep, old in ((",", csv_writer(header, rows)),
+                     ("  ", joined_rows(header, rows, "  "))):
+        head = sep.join(header) + "\n" if header else ""
+        assert int_rows(columns, sep.join(["%d"] * width) + "\n",
+                        head) == old
 
 
-JSON_CASES = [case for case in GOLDEN if "--format json" in case[0]]
+#: every output of a command, none of them a usage or input error
+OUTPUT_CASES = [case for case in GOLDEN if case[1] != 2]
 
 
-@pytest.mark.parametrize("line, code, stdout", JSON_CASES,
-                         ids=[case[0] for case in JSON_CASES])
+@pytest.mark.parametrize("line, code, stdout", OUTPUT_CASES,
+                         ids=[case[0] for case in OUTPUT_CASES])
 def test_golden_json_never_runs_the_python_encoder(line, code, stdout, docs,
                                                    capsys, monkeypatch):
-    """Every JSON output comes from the C encoder: the pure-Python one is
-    built by ``json.encoder._make_iterencode``, which raises here."""
-    def slow(*args, **kwargs):
-        raise AssertionError("the pure-Python JSON encoder ran")
+    """No output runs the JSON encoder, in Python or in C: the pure-Python
+    one is built by ``json.encoder._make_iterencode``, the C one by
+    ``json.encoder.c_make_encoder``, and ``json.dumps`` calls one of them,
+    so all three raise here."""
+    def encoder(*args, **kwargs):
+        raise AssertionError("the JSON encoder ran")
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", slow)
+    for owner, name in ((json.encoder, "_make_iterencode"),
+                        (json.encoder, "c_make_encoder"), (json, "dumps")):
+        monkeypatch.setattr(owner, name, encoder)
     argv = [arg.format(**docs) for arg in line.split()]
     assert dispatch(argv) == code
     assert capsys.readouterr().out == stdout
@@ -259,17 +263,11 @@ class TestIntegerTextSkipsTheEncoder:
         assert max(encoded, default=0) <= 4
 
 
-ROW_CASES = [case for case in GOLDEN
-             if case[0].split()[0] in ("gen", "diff", "export", "reference",
-                                       "closed-form")
-             and "--format json" not in case[0] and case[1] != 2]
-
-
-@pytest.mark.parametrize("line, code, stdout", ROW_CASES,
-                         ids=[case[0] for case in ROW_CASES])
+@pytest.mark.parametrize("line, code, stdout", OUTPUT_CASES,
+                         ids=[case[0] for case in OUTPUT_CASES])
 def test_golden_integer_rows_never_run_the_csv_writer(line, code, stdout, docs,
                                                       capsys, monkeypatch):
-    """csv and table rows of integers come from ``int_rows`` templates."""
+    """csv and table rows come from ``int_rows`` templates."""
     def writer(*args, **kwargs):
         raise AssertionError("csv.writer ran")
 
@@ -277,6 +275,48 @@ def test_golden_integer_rows_never_run_the_csv_writer(line, code, stdout, docs,
     argv = [arg.format(**docs) for arg in line.split()]
     assert dispatch(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+#: every output that holds a sequence value, an index or a closed-form
+#: cell: all but enumerations and sequence documents (``to_json``)
+CELL_CASES = [case for case in OUTPUT_CASES
+              if not case[0].startswith("enumerate")
+              and not (case[0].split()[0] in ("gen", "diff", "export")
+                       and "--format json" in case[0])]
+
+
+@pytest.mark.parametrize("line, code, stdout", CELL_CASES,
+                         ids=[case[0] for case in CELL_CASES])
+def test_golden_value_cells_all_go_through_int_rows(line, code, stdout, docs,
+                                                    capsys, monkeypatch):
+    """With ``int_rows`` refusing, every such output is refused: no value
+    cell reaches the text by another writer."""
+    def refused(*args, **kwargs):
+        raise ValueError("int_rows ran")
+
+    monkeypatch.setattr(seqcore, "int_rows", refused)
+    argv = [arg.format(**docs) for arg in line.split()]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [
+    "gen --format table", "diff --format table", "verify --format csv",
+    "verify --format json", "closed-form --format json"])
+def test_a_row_past_the_digit_limit_is_one_error_line(command, capsys):
+    """The writers that once converted every value before refusing one:
+    pi:m=1 passes 640 digits, the least limit ``sys`` takes, at 3061."""
+    name, *fmt = command.split()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = dispatch([name, "--family", "pi:m=1", "--range", "0..3070",
+                         *fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: Exceeds the limit (640 digits)")
 
 
 # --- rows and tails ------------------------------------------------------------------
@@ -383,10 +423,13 @@ class TestDigitLimitFirst:
         doc = to_document(SeqWindow(0, [5, -7, -6]))
         assert seen == [-6, 5, -7, -6] and doc["values"] == ["5", "-7", "-6"]
 
-    def test_int_rows_writes_the_larger_end_cell_first(self):
+    @pytest.fixture
+    def cells(self):
+        """A maker of cells that ``%d`` reads through ``__index__``, each
+        read recorded in ``cells.seen``; None stays None."""
         seen = []
 
-        class Cell:  # ``%d`` reads it through __index__
+        class Cell:
             def __init__(self, value):
                 self.value = value
 
@@ -397,13 +440,59 @@ class TestDigitLimitFirst:
             def __abs__(self):
                 return abs(self.value)
 
-        def cells(*values):
-            return [Cell(v) for v in values]
+        def make(*values):
+            return [None if v is None else Cell(v) for v in values]
 
-        assert int_rows(["a", "b"], [cells(1, 2, 3), cells(-9, 5, 8)]) == (
-            "a,b\n1,-9\n2,5\n3,8\n")
-        assert seen == [-9, 1, -9, 2, 5, 3, 8]
-        assert int_rows(["a"], [[]]) == "a\n"
+        make.seen = seen
+        return make
+
+    def test_int_rows_writes_the_larger_end_cell_first(self, cells):
+        assert int_rows([cells(1, 2, 3), cells(-9, 5, 8)], "%d,%d\n",
+                        "a,b\n") == "a,b\n1,-9\n2,5\n3,8\n"
+        assert cells.seen == [-9, 1, -9, 2, 5, 3, 8]
+        assert int_rows([[]], "%d\n", "a\n") == "a\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_rows_by_status(self, cells, fmt):
+        """One template per status; an uncheckable row's None cells are
+        left out, and the largest end cell is still converted first."""
+        statuses = ("ok", "violation", "uncheckable", "ok")
+        columns = (cells(1, 2, 3, 4), cells(2, 500, None, -90),
+                   cells(2, 6, None, -90))
+        layout = cli._JSON_LIST if fmt == "json" else ("head\n",)
+        text = int_rows(columns, [cli._VERIFY_ROWS[fmt][s] for s in statuses],
+                        *layout)
+        assert cells.seen == [-90, 1, 2, 2, 2, 500, 6, 3, 4, -90, -90]
+        rows = [(1, 2, 2), (2, 500, 6), (3, None, None), (4, -90, -90)]
+        if fmt == "csv":
+            assert text == "head\n" + csv_writer([], [
+                (p, e, a, s) for (p, e, a), s in zip(rows, statuses)])
+        else:
+            assert text == json.dumps([
+                {"position": p, "expected": e and str(e),
+                 "actual": a and str(a), "status": s}
+                for (p, e, a), s in zip(rows, statuses)], indent=2)
+
+    def test_json_object_rows(self, cells):
+        names = ("index", "iterative", "closed_form")
+        text = int_rows([cells(0, 1), cells(7, -800), cells(7, 9)],
+                        cli._json_object(**dict.fromkeys(names, "%d")),
+                        *cli._JSON_LIST)
+        assert cells.seen == [-800, 0, 7, 7, 1, -800, 9]
+        assert text == json.dumps([dict(zip(names, (0, 7, 7))),
+                                   dict(zip(names, (1, -800, 9)))], indent=2)
+
+    def test_an_approx_row(self, cells):
+        """``exact`` by ``%d``, ``predicted`` text by ``%s`` and the float
+        ``rel_error`` by ``%r``; only integer cells go first."""
+        text = int_rows([cells(0, 1), ["321.000", "-1088.667"],
+                         cells(321, -1096), [0.0, 0.006690997566909975]],
+                        cli._APPROX_JSON, *cli._JSON_LIST)
+        assert cells.seen == [-1096, 0, 321, 1, -1096]
+        assert text == json.dumps([
+            {"r": 0, "predicted": "321.000", "exact": "321", "rel_error": 0.0},
+            {"r": 1, "predicted": "-1088.667", "exact": "-1096",
+             "rel_error": 0.006690997566909975}], indent=2)
 
 
 class TestTailSum:
