@@ -6,8 +6,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Sequence
 from itertools import islice
-from typing import Optional, Sequence
 
 from . import reference, seqcore
 from .errors import UltraseqError, brief
@@ -30,7 +30,7 @@ from .seqcore import (
 USAGE_ERROR = 2
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class QuadExt:

@@ -7,11 +7,9 @@ two-point growth approximation model.
 from __future__ import annotations
 
 import math
-from collections import abc
-from dataclasses import dataclass, field
+from collections import abc, namedtuple
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Optional, Sequence
 
 from .errors import (
     DegenerateBase,
@@ -24,8 +22,10 @@ from .errors import (
 from .exactmath import closed_form_affine_row, fib, lucas
 from .seqcore import (
     MAX_WINDOW_ENV,
+    Frozen,
     Periodic,
     SeqWindow,
+    _exact,
     breve,
     concat,
     constant,
@@ -189,7 +189,7 @@ def delta_identities(m: int, k: int, n: int) -> dict:
 # --- the pi* family -----------------------------------------------------------
 
 def _pi_star_right(m: int, n_max: int,
-                   reach: Optional[int] = None) -> list[int]:
+                   reach: int | None = None) -> list[int]:
     """Right-side values at indices 0..n_max (doubling at even indices,
     +4 at odd indices after the first four values).
 
@@ -261,19 +261,16 @@ def pi_star_even_closed(m: int, n: int) -> int:
 
 # --- the tau family -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TauConfig:
+class TauConfig(Frozen):
     """Placement of m values +(4m+2) and m values -(4m+2) in a period of
     4m+2 positions, no two placements cyclically adjacent."""
 
-    m: int
-    pos: frozenset[int]
-    neg: frozenset[int]
+    __slots__ = _fields = ("m", "pos", "neg")
 
     def __init__(self, m: int, pos, neg):
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "pos", frozenset(map(int, pos)))
-        object.__setattr__(self, "neg", frozenset(map(int, neg)))
+        object.__setattr__(self, "m", _exact((m,), "m")[0])
+        object.__setattr__(self, "pos", frozenset(_exact(pos, "placements")))
+        object.__setattr__(self, "neg", frozenset(_exact(neg, "placements")))
         self._validate()
 
     def _validate(self):
@@ -494,7 +491,7 @@ def omega_window(half_extent: int) -> SeqWindow:
 
 # --- composite seeded rows -------------------------------------------------------
 
-def composite_row(c: TauConfig, mid: Sequence[int], seed: int,
+def composite_row(c: TauConfig, mid: abc.Sequence[int], seed: int,
                   steps: int) -> SeqWindow:
     """A left-infinite tail of c's unit, a finite middle segment and a
     positive seed at index 0, then ``steps`` values generated forward."""
@@ -509,14 +506,7 @@ def composite_row(c: TauConfig, mid: Sequence[int], seed: int,
 
 # --- growth approximation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxModel:
-    m: int
-    xi: Fraction
-    phi_m: float
-    base_n: int
-    u_n: int
-    u_n1: int
+ApproxModel = namedtuple("ApproxModel", "m xi phi_m base_n u_n u_n1")
 
 
 def build_approx_model(m: int, base_n: int, u_n: int, u_n1: int) -> ApproxModel:
@@ -545,19 +535,11 @@ def approx_predict(a: ApproxModel, r: int) -> Fraction:
     return next(islice(_predictions(a), r, None))
 
 
-@dataclass(frozen=True)
-class ApproxReportRow:
-    r: int
-    predicted: Fraction
-    exact: int
-    rel_error: float
+ApproxReportRow = namedtuple("ApproxReportRow", "r predicted exact rel_error")
 
 
-@dataclass(frozen=True)
-class ApproxReport:
-    model: ApproxModel
-    rows: tuple[ApproxReportRow, ...]
-    empirical_ratio: float
+class ApproxReport(namedtuple("ApproxReport", "model rows empirical_ratio")):
+    __slots__ = ()
 
     @property
     def ratio_rel_error(self) -> float:
@@ -581,16 +563,14 @@ def approx_report(w: SeqWindow, m: int, base_n: int, r_max: int) -> ApproxReport
 
 # --- the shift-eigen periodic family ------------------------------------------------
 
-@dataclass(frozen=True)
-class OPowerConfig:
+class OPowerConfig(Frozen):
     """Period-r placement over {+, -, 0}; every nonzero value has magnitude
     r+1 and one period sums to -(r+1)."""
 
-    r: int
-    placement: tuple[str, ...]
+    __slots__ = _fields = ("r", "placement")
 
-    def __init__(self, r: int, placement: Sequence[str]):
-        object.__setattr__(self, "r", int(r))
+    def __init__(self, r: int, placement: abc.Sequence[str]):
+        object.__setattr__(self, "r", _exact((r,), "r")[0])
         object.__setattr__(self, "placement", tuple(placement))
         if self.r < 1:
             raise InvalidConfig("r must be >= 1")
@@ -664,17 +644,23 @@ _KEYS = {
 _OPTIONAL = {"mid", "steps"}
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """A parsed family descriptor: its kind, each key's converted value, and
     the config of a tau or opower family."""
 
-    kind: str
-    values: dict = field(hash=False)
-    config: TauConfig | OPowerConfig | None = None
+    __slots__ = _fields = ("kind", "values", "config")
+
+    def __init__(self, kind: str, values: dict,
+                 config: TauConfig | OPowerConfig | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "config", config)
+
+    def __hash__(self):  # ``values`` is a dict, outside the hash
+        return hash((self.kind, self.config))
 
     @property
-    def growth_m(self) -> Optional[int]:
+    def growth_m(self) -> int | None:
         """The left-tail parameter governing growth, for approximation
         reports; None for a family without a periodic left tail."""
         tau = self.config if self.kind == "tau" else self.values.get("left")

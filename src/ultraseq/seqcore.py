@@ -14,12 +14,10 @@ import json
 import math
 import operator
 import os
-from collections import Counter
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from functools import cached_property, partial
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DomainExhausted,
@@ -52,19 +50,67 @@ def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class Periodic:
+def _exact(items: Iterable, what: str) -> tuple[int, ...]:
+    """``items`` as ints: each one's ``__index__`` or, if one has none (a
+    float, Fraction or Decimal), each one's ``int``, checked by one C-level
+    comparison of the converted tuple with the input, so that an item which
+    differs from its int is refused."""
+    items = tuple(items)
+    try:
+        return tuple(map(operator.index, items))
+    except TypeError:
+        pass
+    ints = tuple(map(int, items))
+    if ints != items:
+        bad = next(v for v, i in zip(items, ints) if v != i)
+        raise ValueError(f"{what}: {brief(bad)} is not an integer")
+    return ints
+
+
+class Frozen:
+    """An immutable value over the slots a subclass's ``_fields`` names:
+    ``==``, hashing and the repr read them in order, assignment and ``del``
+    raise AttributeError, and pickle and copy pass them, in order, to the
+    constructor.  Other slots are caches, outside the value."""
+
+    __slots__ = ()
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._value()
+
+
+class Periodic(Frozen):
     """Periodic extension rule; a constant tail is a unit of length 1."""
 
-    unit: tuple[int, ...]
+    __slots__ = ("unit", "_prefix")  # _prefix: the unit's prefix sums
+    _fields = ("unit",)
 
     def __init__(self, unit: Iterable[int]):
-        unit = tuple(map(int, unit))
+        unit = _exact(unit, "periodic unit")
         if not unit:
             raise ValueError("periodic unit must be nonempty")
         object.__setattr__(self, "unit", unit)
-        # prefix sums of the unit; not a field, so equality, hashing and
-        # repr ignore it
         object.__setattr__(self, "_prefix", tuple(accumulate(unit, initial=0)))
 
     @property
@@ -82,24 +128,22 @@ def constant(value: int) -> Periodic:
     return Periodic((value,))
 
 
-# None means undefined; typing.Optional's cache would pin earlier imports
+# None means undefined; a types.UnionType, which no module-level cache
+# keeps, so a fresh import releases the previous one's classes
 ExtRule = Periodic | None
 
 
-@dataclass(frozen=True)
-class SeqWindow:
-    lo: int
-    values: tuple[int, ...]
-    left: ExtRule = None
-    right: ExtRule = None
+class SeqWindow(Frozen):
+    __slots__ = ("lo", "values", "left", "right", "_sums")
+    _fields = ("lo", "values", "left", "right")
 
     def __init__(self, lo: int, values: Iterable[int],
                  left: ExtRule = None, right: ExtRule = None):
-        values = tuple(map(int, values))
+        values = _exact(values, "window values")
         if not values:
             raise WindowTooSmall("window must hold at least one value")
         check_window_len(len(values))
-        object.__setattr__(self, "lo", int(lo))
+        object.__setattr__(self, "lo", _exact((lo,), "lo")[0])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -114,11 +158,16 @@ class SeqWindow:
     def value_at(self, k: int) -> int:
         return self.slice(k, k)[0]
 
-    @cached_property
+    @property
     def _prefix(self) -> list[int]:
-        """Prefix sums of ``values``, built on first use; not a field, so
-        equality, hashing and repr ignore it."""
-        return list(accumulate(self.values, initial=0))
+        """Prefix sums of ``values``, built on first use into the ``_sums``
+        slot; a cache, outside the value."""
+        try:
+            return self._sums
+        except AttributeError:
+            object.__setattr__(self, "_sums",
+                               list(accumulate(self.values, initial=0)))
+            return self._sums
 
     def slice(self, a: int, b: int) -> list[int]:
         """Values at positions a..b inclusive, ``_column``'s list.  A range
@@ -208,15 +257,17 @@ def range_sum(w: SeqWindow, a: int, b: int) -> int:
     return -G(a) + G(b + 1)
 
 
-def _column(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
+def _column(w: SeqWindow, a: int, b: int) -> list[int | None]:
     """Values at positions a..b, None at each undefined one: the one reader
     of a window, by one slice of its span and ``Periodic.take`` per periodic
-    side.  A range over the cap is refused before anything is built."""
+    side.  A range longer than the span is checked against the cap before
+    anything is built; a shorter one builds no more than the window holds."""
     if a > b:
         return []
-    check_window_len(b - a + 1, "range")
+    if b - a + 1 > len(w.values):
+        check_window_len(b - a + 1, "range")
     lo, hi = w.lo, w.hi
-    out: list[Optional[int]] = []
+    out: list[int | None] = []
     if a < lo:  # positions a..end on the left side
         end = min(b, lo - 1)
         out += (repeat(None, end - a + 1) if w.left is None
@@ -243,7 +294,7 @@ def _margins(w: SeqWindow, reach: Callable[[int], int]) -> tuple[int, int]:
     return w.lo - left, w.hi + right
 
 
-def _assemble(w: SeqWindow, col: list[Optional[int]], a: int,
+def _assemble(w: SeqWindow, col: list[int | None], a: int,
               out_offset: int) -> SeqWindow:
     """The output window of a shift-invariant map from ``col``, its values at
     input positions a, a + 1, ... (None where undefined), each landing
@@ -282,7 +333,7 @@ def _assemble(w: SeqWindow, col: list[Optional[int]], a: int,
                      right=right)
 
 
-def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
+def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
     """``|u| + sum_{i<|u|} w[p - i*sign(u)]`` with u = w[p], the value the
     self-generation equation gives p+1, for every p in a..b; None where the
     head or a summand is undefined.  A negative head reads its successors,
@@ -295,7 +346,7 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[Optional[int]]:
     lo, end = w.lo, w.hi + 1
     prefix = w._prefix
     G = _signed_prefix(lo, prefix, w.left, w.right)
-    out: list[Optional[int]] = []
+    out: list[int | None] = []
     append = out.append
     for p, u in zip(range(a, b + 1), _column(w, a, b)):
         if u is None:
@@ -332,19 +383,13 @@ VIOLATION = "violation"
 UNCHECKABLE = "uncheckable"
 
 
-class CheckEntry(NamedTuple):
-    """The equation at one position; a tuple, so cheap to build per
-    position."""
-
-    position: int
-    expected: Optional[int]
-    actual: Optional[int]
-    status: str
+#: the equation at one position; a tuple, so cheap to build per position
+CheckEntry = namedtuple("CheckEntry", "position expected actual status")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    entries: tuple[CheckEntry, ...]
+class CheckReport(Frozen):
+    __slots__ = ("entries", "_counts")  # _counts: each status's count
+    _fields = ("entries",)
 
     def __init__(self, entries: Iterable[CheckEntry]):
         entries = tuple(entries)
@@ -352,7 +397,6 @@ class CheckReport:
         if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
         object.__setattr__(self, "entries", entries)
-        # counted once; not a field, so equality, hashing and repr ignore it
         object.__setattr__(self, "_counts",
                            Counter(e.status for e in entries))
 
@@ -410,14 +454,14 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
 # --- generation --------------------------------------------------------------
 
 def extend_right_by_O(w: SeqWindow, steps: int,
-                      supplied: Optional[dict[int, int]] = None) -> SeqWindow:
+                      supplied: dict[int, int] | None = None) -> SeqWindow:
     """Append ``steps`` values generated by the self-referential rule.
 
     A head h >= 0 or h = -1 determines its successor; h = -2 leaves it
     unrestricted and any h <= -3 under-determines it, so those raise
     ``NonDeterministic`` unless ``supplied`` maps the successor position to
-    a caller-chosen value.  Supplied values are appended verbatim; they are
-    not validated here (that is the verifier's job).
+    a caller-chosen value.  Supplied values must be integers; they are not
+    checked against the equation here (that is the verifier's job).
 
     The successor of a head h > 0 is the running total less G(pos - h),
     plus h: the start of the summand range is read off the prefix sums
@@ -436,7 +480,7 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     head, total = vals[-1], prefix[-1]
     for pos in range(w.hi + 1, w.hi + 1 + steps):
         if supplied is not None and pos in supplied:
-            head = int(supplied[pos])
+            (head,) = _exact((supplied[pos],), "supplied value")
         elif head > 0:
             # the equation at pos - 1, summing [pos - head, pos)
             s = pos - head
@@ -480,11 +524,8 @@ def partial_sums(w: SeqWindow, n: int) -> tuple[int, int]:
 
 # --- structural predicates ---------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeCheck:
-    ok: bool
-    position: Optional[int] = None
-    condition: Optional[int] = None
+FreeCheck = namedtuple("FreeCheck", "ok position condition",
+                       defaults=(None, None))
 
 
 def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
@@ -529,14 +570,14 @@ def breve(unit: Sequence[int], beta: int) -> SeqWindow:
     ``unit`` is the one-period slice at positions 1..p; the window's last
     value is the period's wrap-around element a_0 = a_p.
     """
-    unit = tuple(int(v) for v in unit)
+    unit = tuple(unit)
     if not unit:
         raise ValueError("unit must be nonempty")
     # phase the tail so value_at(beta - t) = a_{p - t} cyclically
     return SeqWindow(beta, unit[-1:], left=Periodic(unit[-1:] + unit[:-1]))
 
 
-def concat(a: SeqWindow, b: Union[Sequence[int], SeqWindow]) -> SeqWindow:
+def concat(a: SeqWindow, b: Sequence[int] | SeqWindow) -> SeqWindow:
     """Append ``b`` immediately after ``a``'s last index."""
     if a.right is not None:
         raise IncompatibleShape("left operand must have an undefined right side")
@@ -544,7 +585,7 @@ def concat(a: SeqWindow, b: Union[Sequence[int], SeqWindow]) -> SeqWindow:
         if b.left is not None:
             raise IncompatibleShape("appended window must not extend leftward")
         return SeqWindow(a.lo, a.values + b.values, left=a.left, right=b.right)
-    b = tuple(int(v) for v in b)
+    b = tuple(b)
     if not b:
         return a
     return SeqWindow(a.lo, a.values + b, left=a.left, right=None)
@@ -574,7 +615,7 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
 
 # --- text ----------------------------------------------------------------------
 
-def int_rows(columns: Sequence[Iterable], row: Union[str, Iterable[str]],
+def int_rows(columns: Sequence[Iterable], row: str | Iterable[str],
              head: str = "", sep: str = "", tail: str = "") -> str:
     """``head``, then the ``%`` template ``row`` for each row of the zipped
     ``columns``, ``sep`` between each two, then ``tail``: the one writer of
@@ -618,15 +659,16 @@ def _check_decimal(items: list, what: str) -> None:
                          "after an optional '-'")
 
 
-def _int_items(d: dict, key: str) -> list:
-    """``d[key]``, checked to be a list of decimal strings or JSON integers;
-    the items are checked at C level, with no loop per item."""
+def _int_items(d: dict, key: str) -> Iterator[int]:
+    """The items of ``d[key]`` as ints, lazily, once ``d[key]`` is checked to
+    be a list of decimal strings or JSON integers; the items are checked at
+    C level, with no loop per item."""
     items = d.get(key)
     if type(items) is not list or not set(map(type, items)) <= {str, int}:
         raise ValueError(f"{key!r} must be a list of decimal strings or "
                          "integers")
     _check_decimal(items, repr(key))
-    return items
+    return map(int, items)
 
 
 def _rule_from_json(d: dict) -> ExtRule:
@@ -694,7 +736,7 @@ def from_json(text: str) -> SeqWindow:
         raise ValueError("JSON document is nested too deeply") from None
 
 
-def to_csv(w: SeqWindow, a: Optional[int] = None, b: Optional[int] = None) -> str:
+def to_csv(w: SeqWindow, a: int | None = None, b: int | None = None) -> str:
     """``index,value`` rows with header, LF line endings (``int_rows``)."""
     if a is None:
         a = w.lo
@@ -724,4 +766,4 @@ def from_csv(text: str) -> SeqWindow:
     lo = int(indices[0])
     if list(map(int, indices)) != list(range(lo, lo + len(fields))):
         raise ValueError("indices must be contiguous and ascending")
-    return SeqWindow(lo, values)
+    return SeqWindow(lo, map(int, values))

@@ -11,9 +11,8 @@ the output side becomes undefined.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidConfig, OutOfDomain, WrongInitialCount
 from .seqcore import (
@@ -21,6 +20,7 @@ from .seqcore import (
     _assemble,
     _class_prefix,
     _column,
+    _exact,
     _margins,
     check_window_len,
     o_successors,
@@ -30,21 +30,12 @@ from .seqcore import (
 SlotFn = Callable[[int, int], int]
 
 
-@dataclass(frozen=True)
-class HParams:
-    """The six slot functions of the general transformation, each called
-    with (position p, value u_p) and returning an integer: nu_{p+1} is the
-    sum over i in [f1, f2) of f3 * u_{p*f4 - i*f5*sign(u_p)} + f6.  A
-    periodic tail maps exactly only if no slot reads p and f4 is 1; the
-    margin reads f1, f2 and f5 at p = 0 on the tails' values.
-    """
-
-    f1: SlotFn
-    f2: SlotFn
-    f3: SlotFn
-    f4: SlotFn
-    f5: SlotFn
-    f6: SlotFn
+#: The six slot functions of the general transformation, each called with
+#: (position p, value u_p) and returning an integer: nu_{p+1} is the sum
+#: over i in [f1, f2) of f3 * u_{p*f4 - i*f5*sign(u_p)} + f6.  A periodic
+#: tail maps exactly only if no slot reads p and f4 is 1; the margin reads
+#: f1, f2 and f5 at p = 0 on the tails' values.
+HParams = namedtuple("HParams", "f1 f2 f3 f4 f5 f6")
 
 
 def _const(c: int) -> SlotFn:
@@ -63,10 +54,7 @@ O_SLOTS = HParams(
 )
 
 
-@dataclass(frozen=True)
-class GParams:
-    p: int
-    q: int
+GParams = namedtuple("GParams", "p q")
 
 
 # --- the transformations ------------------------------------------------------
@@ -82,7 +70,7 @@ def apply_H(h: HParams, w: SeqWindow) -> SeqWindow:
     a0, b0 = _margins(w, lambda u: abs(f5(0, u)) * max(abs(f1(0, u)),
                                                        abs(f2(0, u))))
     G, strided = _class_prefix(w, 1, 0), {}
-    col: list[Optional[int]] = []
+    col: list[int | None] = []
     for p, u in zip(range(a0, b0 + 1), w.slice(a0, b0)):
         a, b = f1(p, u), f2(p, u)
         if b < a:
@@ -142,7 +130,7 @@ def recurrence_1_3_extend(g: GParams, r: int, initial: list[int],
     check_window_len(2 * r + n)
     coeffs = [(-1) ** i * math.comb(r, i) * g.p ** (r - i) * g.q ** i
               for i in range(r + 1)]
-    vals = [int(v) for v in initial]
+    vals = list(_exact(initial, "initial values"))
     for _ in range(n):
         vals.append(sum(coeffs[i] * vals[-r - i] for i in range(r + 1)))
     return SeqWindow(0, vals)

@@ -5,7 +5,6 @@ The oracles below are the per-summand forms of the equation
 per summand, no prefix sums.  They cost O(|head|) per position, so on pi
 rows they only reach short windows.
 """
-import dataclasses
 import pickle
 from typing import Optional
 
@@ -281,8 +280,7 @@ class TestRangeSum:
         b = SeqWindow(-1, (4, 5, 6), left=constant(-2))
         assert range_sum(a, -3, 1) == 11
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert [f.name for f in dataclasses.fields(a)] == \
-            ["lo", "values", "left", "right"]
+        assert list(a._fields) == ["lo", "values", "left", "right"]
 
     def test_window_pickles_after_its_caches_fill(self):
         w = pi_window(2, 12)
@@ -402,7 +400,7 @@ H_SLOTS = {
     "empty": HParams(lambda p, u: u, lambda p, u: u, _const(5), _const(1),
                      _const(1), _const(7)),
     "O": O_SLOTS,
-    **{f"O.f5={e}": dataclasses.replace(O_SLOTS, f5=_const(e))
+    **{f"O.f5={e}": O_SLOTS._replace(f5=_const(e))
        for e in (2, 3, -2)},
 }
 
@@ -516,7 +514,7 @@ class TestMapsAgainstGroundTruth:
     def test_a_step_of_two_keeps_the_tail_its_reach_gives(self):
         # heads 5 on the right read ten positions back, past the span and
         # past O's reach: each value there sums 5 + 5 * 5
-        h = dataclasses.replace(O_SLOTS, f5=_const(2))
+        h = O_SLOTS._replace(f5=_const(2))
         w = SeqWindow(0, [0, 0], left=constant(0), right=constant(5))
         out = check_against_truth(w, *h_map(h))
         assert out.right == constant(30)
@@ -599,7 +597,7 @@ class TestLookupCounts:
         w = pi_window(2, 40)
         assert max(w.values) > 10 ** 8
         calls.update(n=0, builds=0)
-        out = apply_H(dataclasses.replace(O_SLOTS, f5=_const(e)), w)
+        out = apply_H(O_SLOTS._replace(f5=_const(e)), w)
         # no lookup per summand, and at most one G per residue class mod e
         # besides the window's own
         assert calls["n"] == 0 and 1 <= calls["builds"] <= 1 + e

@@ -399,6 +399,25 @@ class TestOneReader:
         with pytest.raises(OutOfDomain):
             w.slice(-2, 2)  # five positions, at the cap
 
+    def test_a_read_within_the_span_does_not_read_the_cap(self,
+                                                          monkeypatch):
+        w = SeqWindow(-1, (4, 5, 6), left=Periodic((-2,)))
+        reads = []
+        monkeypatch.setattr(seqcore, "max_window_len",
+                            lambda: reads.append(1) or 10 ** 6)
+        assert [w.value_at(k) for k in (-5, -1, 0, 1)] == [-2, 4, 5, 6]
+        assert w.defined(-9) and not w.defined(2)
+        assert w.slice(-2, 0) == [-2, 4, 5] and reads == []
+        assert w.slice(-2, 1) == [-2, 4, 5, 6] and len(reads) == 1
+
+    def test_a_cap_lowered_after_the_build_bounds_only_longer_reads(
+            self, monkeypatch):
+        w = SeqWindow(0, (1, 2, 3))
+        monkeypatch.setenv("ULTRASEQ_MAX_WINDOW", "2")
+        assert w.slice(0, 2) == [1, 2, 3] and w.value_at(2) == 3
+        with pytest.raises(TooLarge):
+            w.slice(-1, 2)
+
 
 class TestDigitLimitFirst:
     """A row past ``str``'s digit limit is refused after one conversion:
