@@ -84,7 +84,10 @@ def _add_family_range(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, the
+    ``choices`` of its subparsers action; built once."""
     parser = argparse.ArgumentParser(
         prog="ultraseq",
         description="construct, transform, verify and enumerate "
@@ -143,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "--input refuses a range: a cut document could not keep its "
              "periodic tail rules exact")
 
-    return parser
+    return parser, sub.choices
 
 
 def _load_input(path: str) -> SeqWindow:
@@ -314,9 +317,26 @@ def _cmd_export(args) -> tuple[str, int]:
     return to_csv(w, *(rng or (w.lo, w.hi))), 0
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of one command, parsed by its own parser alone: one
+    pass where the top-level parser would hand every argument after the
+    command to it.  Arguments it leaves over are refused by the top-level
+    parser, as its own pass refuses them, so every message is the same.  An
+    empty argv, an option or an unknown command goes to the top-level
+    parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def dispatch(argv: Sequence[str]) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -17,7 +17,7 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 
 from .errors import (
     DomainExhausted,
@@ -388,17 +388,27 @@ CheckEntry = namedtuple("CheckEntry", "position expected actual status")
 
 
 class CheckReport(Frozen):
-    __slots__ = ("entries", "_counts")  # _counts: each status's count
+    # caches, outside the value: _statuses holds each entry's status, in
+    # order, and _counts each status's count
+    __slots__ = ("entries", "_statuses", "_counts")
     _fields = ("entries",)
 
-    def __init__(self, entries: Iterable[CheckEntry]):
+    def __new__(cls, entries: Iterable[CheckEntry]):
         entries = tuple(entries)
         positions = [e.position for e in entries]
         if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_counts",
-                           Counter(e.status for e in entries))
+        return cls._of(entries, [e.status for e in entries])
+
+    @classmethod
+    def _of(cls, entries: tuple, statuses: list[str]) -> CheckReport:
+        """The report of ``entries`` whose statuses are ``statuses``, in
+        order, with no check that the positions increase."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "entries", entries)
+        object.__setattr__(report, "_statuses", statuses)
+        object.__setattr__(report, "_counts", Counter(statuses))
+        return report
 
     def count(self, status: str) -> int:
         return self._counts[status]
@@ -420,7 +430,8 @@ class CheckReport(Frozen):
         return self.violation_count == 0
 
     def violations(self) -> list[CheckEntry]:
-        return [e for e in self.entries if e.status == VIOLATION]
+        return list(compress(self.entries, map(
+            operator.eq, self._statuses, repeat(VIOLATION))))
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
@@ -434,21 +445,32 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     against.  A position whose successor or a summand is undefined is
     uncheckable; a range over the cap is refused before anything is built.
 
+    The report is built by C-level passes over the two columns: one
+    comparison per position gives its status, one ``index`` scan per None
+    marks the uncheckable ones, and each entry is the ``CheckEntry`` tuple
+    built by ``tuple.__new__``, with no Python-level call per position.
+
     A negative head reads its successors (including the very value being
     checked); this is an equality test, never a generation step.
     """
     if a > b:
         raise ValueError("range must satisfy a <= b")
-    entries = []
-    append = entries.append
-    for p, expected, actual in zip(range(a, b + 1), o_successors(w, a, b),
-                                   _column(w, a + 1, b + 1)):
-        if expected is None or actual is None:
-            append(CheckEntry(p, None, None, UNCHECKABLE))
-        else:
-            append(CheckEntry(p, expected, actual,
-                              OK if actual == expected else VIOLATION))
-    return CheckReport(entries)
+    expected = o_successors(w, a, b)
+    actual = _column(w, a + 1, b + 1)
+    statuses = list(map((VIOLATION, OK).__getitem__,
+                        map(operator.eq, expected, actual)))
+    for col in (expected, actual):
+        i = -1
+        try:
+            while True:
+                i = col.index(None, i + 1)
+                expected[i] = actual[i] = None
+                statuses[i] = UNCHECKABLE
+        except ValueError:
+            pass
+    entries = tuple(map(tuple.__new__, repeat(CheckEntry),
+                        zip(range(a, b + 1), expected, actual, statuses)))
+    return CheckReport._of(entries, statuses)
 
 
 # --- generation --------------------------------------------------------------
@@ -540,11 +562,14 @@ def is_free(s: Sequence[int], alpha: int) -> FreeCheck:
     beta = alpha + len(s) - 1
     if beta > alpha:
         # a summand outside [alpha, beta] leaves a position uncheckable
-        entries = verify_O_range(SeqWindow(alpha, s), alpha, beta - 1).entries
+        statuses = verify_O_range(SeqWindow(alpha, s), alpha,
+                                  beta - 1)._statuses
         for condition, status in enumerate((UNCHECKABLE, VIOLATION), 1):
-            for e in entries:
-                if e.status == status:
-                    return FreeCheck(False, e.position, condition)
+            try:
+                i = statuses.index(status)
+            except ValueError:
+                continue
+            return FreeCheck(False, alpha + i, condition)
     if s[-1] != -2:
         return FreeCheck(False, beta, 3)
     return FreeCheck(True)

@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, and file round trips."""
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from ultraseq import cli
 from ultraseq.cli import dispatch
-from ultraseq.errors import brief, clip
+from ultraseq.errors import UltraseqError, brief, clip
 from ultraseq.families import (
     _pi_star_right,
     build_family,
@@ -693,3 +694,86 @@ class TestUsage:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "index,value\n0,1\n1,2\n2,5\n"
+
+
+#: a valid argv for each command, its first option a required one, and
+#: the int option the command takes, if any
+COMMANDS = {
+    "gen": (["--family", "pi:m=1", "--range=0..2"], None),
+    "verify": (["--range", "0..3", "--family", "pi:m=1"], None),
+    "diff": (["--family", "pi:m=1", "--range", "0..3"], "--order"),
+    "closed-form": (["--family", "pi:m=1", "--range", "0..3"], None),
+    "enumerate": (["--m", "1"], "--m"),
+    "approx": (["--family", "composite:left=tau:m=1,P=5,N=1,seed=1",
+                "--rmax", "1"], "--base"),
+    "reference": (["--sequence", "q"], "--count"),
+    "export": (["--format", "csv", "--family", "pi:m=1", "--range", "0..2"],
+               None),
+}
+
+
+def usage_argvs() -> list[list[str]]:
+    """Each command valid, with a required option missing, with a bad
+    choice, a bad int (or an option it does not take), an unknown option,
+    an extra positional, ``--fam`` (an abbreviation of ``--family``, or an
+    option it does not take) and ``--help``; then the argvs the top-level
+    parser takes alone."""
+    out = []
+    for name, (argv, int_option) in COMMANDS.items():
+        fam = (["--fam" if a == "--family" else a for a in argv]
+               if "--family" in argv else [*argv, "--fam", "pi:m=2"])
+        out += [[name, *argv], [name, *argv[2:]],
+                [name, *argv, "--format", "xml"],
+                [name, *argv, int_option or "--order", "x"],
+                [name, *argv, "--bogus"], [name, *argv, "extra"],
+                [name, *fam], [name, "--help"]]
+    return out + [[], ["-h"], ["mystery"], ["--format", "csv", "gen"]]
+
+
+def parse_then_run(argv: list[str]) -> int:
+    """``dispatch`` as two argparse passes: the top-level parser, which
+    hands the command's arguments to its subparser, then the handler."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        text, code = args.run(args)
+        cli._emit(text, args.output)
+        return code
+    except (ValueError, KeyError, OSError, UltraseqError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+class TestDispatch:
+    """A command is parsed by its own parser, in one pass, with the exit
+    code, output and messages of the top-level parser's two passes."""
+
+    @pytest.mark.parametrize("argv", usage_argvs(), ids=" ".join)
+    def test_same_as_the_top_level_parser(self, capsys, argv):
+        want = parse_then_run(argv), *capsys.readouterr()
+        assert run(capsys, *argv) == want
+
+    def test_leftovers_are_refused_by_the_top_level_parser(self, capsys):
+        for extra in (["--bogus"], ["extra"]):
+            code, out, err = run(capsys, "gen", "--family", "pi:m=1",
+                                 "--range=0..2", *extra)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                f"ultraseq: error: unrecognized arguments: {extra[0]}")
+
+    def test_one_parser_pass_per_command(self, capsys, monkeypatch):
+        passes = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counting)
+        for name, (argv, _) in COMMANDS.items():
+            passes.clear()
+            assert dispatch([name, *argv]) == 0, name
+            assert passes == [f"ultraseq {name}"]

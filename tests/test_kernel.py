@@ -3,9 +3,14 @@
 The oracles below are the per-summand forms of the equation
 ``u[p+1] = |u[p]| + sum_{i<|u[p]|} u[p - i*sign(u[p])]``: one value lookup
 per summand, no prefix sums.  They cost O(|head|) per position, so on pi
-rows they only reach short windows.
+rows they only reach short windows.  Every lookup goes through ``read_at``,
+which reads a window's fields by its own tail arithmetic, so no oracle
+shares code with the reader it checks.
 """
+import gc
 import pickle
+import sys
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -33,6 +38,7 @@ from ultraseq.families import (
 )
 from ultraseq.seqcore import (
     CheckEntry,
+    CheckReport,
     FreeCheck,
     Periodic,
     SeqWindow,
@@ -59,16 +65,29 @@ from ultraseq.transform import (
 
 # --- oracles -------------------------------------------------------------------
 
+def read_at(w: SeqWindow, k: int) -> int:
+    """The value at k, read off the window's fields: a left tail's unit
+    ends at lo - 1, a right tail's starts at hi + 1; OutOfDomain where k is
+    undefined."""
+    i = k - w.lo
+    if 0 <= i < len(w.values):
+        return w.values[i]
+    rule, t = (w.left, i) if i < 0 else (w.right, i - len(w.values))
+    if rule is None:
+        raise OutOfDomain(k)
+    return rule.unit[t % len(rule.unit)]
+
+
 def naive_range_sum(w: SeqWindow, a: int, b: int) -> int:
     """One lookup per position; raises OutOfDomain at an undefined one."""
-    return sum(w.value_at(k) for k in range(a, b + 1))
+    return sum(read_at(w, k) for k in range(a, b + 1))
 
 
 def naive_successor(w: SeqWindow, p: int) -> int:
     """The per-summand sum that ``apply_O`` used to evaluate."""
-    u = w.value_at(p)
+    u = read_at(w, p)
     s = sign(u)
-    return sum(w.value_at(p - i * s) + 1 for i in range(abs(u)))
+    return sum(read_at(w, p - i * s) + 1 for i in range(abs(u)))
 
 
 def naive_column(value, a: int, b: int) -> list:
@@ -104,7 +123,7 @@ def naive_successors(w: SeqWindow, a: int, b: int) -> list:
 def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
     """The equation at p from one lookup per summand."""
     try:
-        actual = w.value_at(p + 1)
+        actual = read_at(w, p + 1)
         expected = naive_successor(w, p)
     except OutOfDomain:
         return CheckEntry(p, None, None, "uncheckable")
@@ -130,13 +149,13 @@ def assert_report_matches(report, want: list[CheckEntry],
 
 def naive_h_value(h: HParams, w: SeqWindow, p: int) -> int:
     """The six-slot map's value at p + 1, with one lookup per summand."""
-    u = w.value_at(p)
+    u = read_at(w, p)
     a, b = h.f1(p, u), h.f2(p, u)
     if b < a:
         raise InvalidConfig(f"slot bound f2 < f1 at position {p}")
     c, d, e, f = h.f3(p, u), h.f4(p, u), h.f5(p, u), h.f6(p, u)
     s = sign(u)
-    return sum(c * w.value_at(p * d - i * e * s) + f for i in range(a, b))
+    return sum(c * read_at(w, p * d - i * e * s) + f for i in range(a, b))
 
 
 def naive_h_reach(h: HParams, u: int) -> int:
@@ -161,7 +180,7 @@ def naive_extend(w: SeqWindow, steps: int,
     vals = list(w.values)
 
     def at(k: int) -> int:
-        return vals[k - w.lo] if k >= w.lo else w.value_at(k)
+        return vals[k - w.lo] if k >= w.lo else read_at(w, k)
 
     for _ in range(steps):
         p, u = w.lo + len(vals) - 1, vals[-1]
@@ -255,7 +274,7 @@ class TestRangeSum:
         C = seqcore._class_prefix(w, e, r % e)
 
         def naive(s, t):
-            return sum(w.value_at(j * e + r % e) for j in range(s, t))
+            return sum(read_at(w, j * e + r % e) for j in range(s, t))
 
         assert outcome(lambda: C(s + length) - C(s)) == \
             outcome(naive, s, s + length)
@@ -354,6 +373,54 @@ class TestSuccessor:
         for s in ((-2,), (-2, -2, -2), (1, 2, -2), (-2, 1, 2, -2),
                   (-1, 0, 0, -2)):
             assert is_free(s, 3) == naive_is_free(s, 3)
+
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls ``fn(*args)`` makes, G reads excepted; with
+    the collector off, which could finalize some other code's generator
+    (a call to the profiler) in the middle."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    del calls["G"]
+    return sum(calls.values())
+
+
+class TestReportBuild:
+    """``verify_O_range`` builds its report by C-level passes over its two
+    columns, the same value the checked public constructor builds."""
+
+    @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
+    def test_is_the_public_constructors_report(self, w, a, length):
+        r = verify_O_range(w, a, a + length - 1)
+        want = CheckReport(r.entries)
+        assert all(type(e) is CheckEntry for e in r.entries)
+        assert r == want and hash(r) == hash(want) and repr(r) == repr(want)
+        for status in ("ok", "violation", "uncheckable", "mystery"):
+            assert r.count(status) == want.count(status) == sum(
+                e.status == status for e in r.entries)
+        assert r.violations() == want.violations() == [
+            e for e in r.entries if e.status == "violation"]
+
+    def test_python_calls_do_not_grow_with_the_row(self):
+        # a fresh row of each length, so each builds its own prefix sums;
+        # every position past the first few reads G left of lo
+        def report_calls(n):
+            w = pi_window(1, n)
+            return python_calls(verify_O_range, w, w.lo, w.hi)
+
+        report_calls(20)  # fills the abc caches of Counter's type checks
+        assert report_calls(2000) == report_calls(20)
 
 
 class TestApplyOKernel:
@@ -462,12 +529,12 @@ def h_map(h: HParams) -> tuple:
 MAPS = {
     "O": (apply_O, lambda w, k: o_successors(w, k - 1, k - 1)[0]),
     "G": (lambda w: apply_G(G_PARAMS, w),
-          lambda w, k: G_PARAMS.p * w.value_at(k - 1)
-          - G_PARAMS.q * w.value_at(k - 2)),
-    "diff1": (difference, lambda w, k: w.value_at(k + 1) - w.value_at(k)),
+          lambda w, k: G_PARAMS.p * read_at(w, k - 1)
+          - G_PARAMS.q * read_at(w, k - 2)),
+    "diff1": (difference, lambda w, k: read_at(w, k + 1) - read_at(w, k)),
     "diff2": (lambda w: difference(w, 2),
-              lambda w, k: w.value_at(k + 2) - 2 * w.value_at(k + 1)
-              + w.value_at(k)),
+              lambda w, k: read_at(w, k + 2) - 2 * read_at(w, k + 1)
+              + read_at(w, k)),
     **{f"H.{s}": h_map(H_SLOTS[s]) for s in ("O", "empty", "step0", "step2",
                                              "O.f5=2", "O.f5=3", "O.f5=-2")},
 }
@@ -486,8 +553,11 @@ def check_against_truth(w: SeqWindow, fn, truth) -> Optional[SeqWindow]:
     reach = 4 * (max((max(map(abs, r.unit)) for r in tails), default=0)
                  + max((r.period for r in tails), default=0) + 3) + 2
     for k in range(w.lo - reach, w.hi + reach + 1):
-        if out.defined(k):
-            assert out.value_at(k) == truth(w, k), (w, k)
+        try:
+            got = read_at(out, k)
+        except OutOfDomain:
+            continue
+        assert got == truth(w, k), (w, k)
     return out
 
 
