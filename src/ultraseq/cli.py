@@ -40,17 +40,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _json_object(**cells: str) -> str:
-    """One object of a list as ``json.dumps`` with ``indent`` 2 writes it,
-    from keys that need no escaping and the template of each value."""
-    return ("{" + ",".join(f'\n    "{k}": {v}' for k, v in cells.items())
-            + "\n  }")
-
-
-#: the head, separator and tail of a list of ``_json_object`` rows
-_JSON_LIST = ("[\n  ", ",\n  ", "\n]")
-
-
 def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     if fmt == "csv":
         return to_csv(w, lo, hi)
@@ -149,12 +138,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def _load_input(path: str) -> SeqWindow:
-    with open(path, encoding="utf-8") as fh:
+def _load(args, rng: tuple[int, int] | None, command: str) -> SeqWindow:
+    """The window ``command`` reads: ``--family`` built to cover ``rng``, or
+    the ``--input`` document; exactly one of the two is given."""
+    if (args.family is None) == (args.input is None):
+        raise ValueError(f"{command} needs exactly one of --family / --input")
+    if args.input is None:
+        if rng is None:
+            raise ValueError("--range is required with --family")
+        return build_family(args.family, *rng)
+    with open(args.input, encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".csv"):
-        return from_csv(text)
-    return from_json(text)
+    return (from_csv if args.input.endswith(".csv") else from_json)(text)
 
 
 def _cmd_gen(args) -> tuple[str, int]:
@@ -163,27 +158,17 @@ def _cmd_gen(args) -> tuple[str, int]:
     return _format_rows(w, lo, hi, args.format), 0
 
 
-#: a ``verify`` row by format and status; an uncheckable position has no
-#: values, and its templates write none
-_VERIFY_ROWS = {
-    "csv": {"ok": "%d,%d,%d,ok\n", "violation": "%d,%d,%d,violation\n",
-            "uncheckable": "%d,,,uncheckable\n"},
-    "json": {status: _json_object(position="%d", expected=value,
-                                  actual=value, status=f'"{status}"')
-             for status, value in (("ok", '"%d"'), ("violation", '"%d"'),
-                                   ("uncheckable", "null"))},
-}
+#: a ``verify`` record by status; an uncheckable position has no values
+_VERIFY_CELLS = {status: {"position": "%d", "expected": value, "actual": value,
+                          "status": f'"{status}"'}
+                 for status, value in (("ok", '"%d"'), ("violation", '"%d"'),
+                                       ("uncheckable", None))}
 _VIOLATION = "violation at %d: expected %d, got %d\n"
 
 
 def _cmd_verify(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
-    if (args.family is None) == (args.input is None):
-        raise ValueError("verify needs exactly one of --family / --input")
-    if args.family is not None:
-        w = build_family(args.family, lo, hi)
-    else:
-        w = _load_input(args.input)
+    w = _load(args, (lo, hi), "verify")
     report = seqcore.verify_O_range(w, lo, hi)
     if args.format == "table":
         bad = report.violations()
@@ -193,10 +178,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             f"{report.uncheckable_count} uncheckable\n")
     else:
         *columns, statuses = zip(*report.entries)
-        rows = map(_VERIFY_ROWS[args.format].__getitem__, statuses)
-        layout = _JSON_LIST if args.format == "json" else (
-            "position,expected,actual,status\n",)
-        text = seqcore.int_rows(columns, rows, *layout)
+        text = seqcore.records(args.format, columns, _VERIFY_CELLS, statuses)
     failed = report.violation_count or (args.strict and report.uncheckable_count)
     return text, 1 if failed else 0
 
@@ -213,16 +195,14 @@ def _cmd_diff(args) -> tuple[str, int]:
 def _cmd_closed_form(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
     names, values = parse_family(args.family).closed_row(lo, hi)
-    header = ("index", *names)
+    cells = dict.fromkeys(("index", *names), "%d")
     columns = (range(lo, hi + 1), *values)
     mismatch = any(col != values[0] for col in values[1:])
-    if args.format == "json":
-        text = seqcore.int_rows(
-            columns, _json_object(**dict.fromkeys(header, "%d")), *_JSON_LIST)
+    if args.format == "table":
+        text = seqcore.int_rows(columns, "  ".join(cells.values()) + "\n",
+                                "  ".join(cells) + "\n")
     else:
-        sep = "," if args.format == "csv" else "  "
-        text = seqcore.int_rows(columns, sep.join(["%d"] * len(header)) + "\n",
-                                sep.join(header) + "\n")
+        text = seqcore.records(args.format, columns, cells)
     return text, 1 if mismatch else 0
 
 
@@ -243,6 +223,12 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     return text, 0
 
 
+#: an ``approx`` record: ``predicted`` is ``fixed_point`` text and
+#: ``rel_error`` a finite float, whose ``%r`` is the encoder's text
+_APPROX_CELLS = {"r": "%d", "predicted": '"%s"', "exact": '"%d"',
+                 "rel_error": "%r"}
+
+
 def _cmd_approx(args) -> tuple[str, int]:
     family = parse_family(args.family)
     if family.growth_m is None:
@@ -255,12 +241,9 @@ def _cmd_approx(args) -> tuple[str, int]:
     *columns, rel_error = zip(*(
         (row.r, fixed_point(row.predicted, 3), row.exact, row.rel_error)
         for row in report.rows))
-    if args.format == "json":
-        return seqcore.int_rows((*columns, rel_error), _APPROX_JSON,
-                                *_JSON_LIST), 0
-    if args.format == "csv":
-        return seqcore.int_rows((*columns, rel_error), "%d,%s,%d,%r\n",
-                                "r,predicted,exact,rel_error\n"), 0
+    if args.format != "table":
+        return seqcore.records(args.format, (*columns, rel_error),
+                               _APPROX_CELLS), 0
     # "%.4f%%" of 100 * x is the text of f"{x:.4%}"
     return seqcore.int_rows(
         (*columns, [100 * x for x in rel_error]),
@@ -270,48 +253,27 @@ def _cmd_approx(args) -> tuple[str, int]:
         f"(relative error {report.ratio_rel_error:.4%})\n"), 0
 
 
-#: an ``approx`` row in json: ``predicted`` is ``fixed_point`` text and
-#: ``rel_error`` a finite float, whose ``%r`` is the encoder's text
-_APPROX_JSON = _json_object(r="%d", predicted='"%s"', exact='"%d"',
-                            rel_error="%r")
-#: a row of ``reference --format json``
-_JSON_ROW = _json_object(index="%d", value='"%d"')
-
-
 def _cmd_reference(args) -> tuple[str, int]:
     n = args.count
     if n < 1:
         raise ValueError("--count must be >= 1")
     seqcore.check_window_len(n, "table")
-    if args.sequence == "q":
-        table = reference.hofstadter_q_table(n)
-    else:
-        table = reference.conway_table(n)
+    table = (reference.hofstadter_q_table if args.sequence == "q"
+             else reference.conway_table)(n)
     columns = (range(1, n + 1), islice(table, 1, None))
-    if args.format == "csv":
-        text = seqcore.int_rows(columns, "%d,%d\n", "index,value\n")
-    elif args.format == "json":
-        text = seqcore.int_rows(columns, _JSON_ROW, *_JSON_LIST)
-    else:
-        text = seqcore.int_rows(columns, "%d  %d\n")
-    return text, 0
+    if args.format == "table":
+        return seqcore.int_rows(columns, "%d  %d\n"), 0
+    return seqcore.records(args.format, columns, seqcore.INDEX_VALUE), 0
 
 
 def _cmd_export(args) -> tuple[str, int]:
-    if (args.family is None) == (args.input is None):
-        raise ValueError("export needs exactly one of --family / --input")
     rng = parse_range(args.range_) if args.range_ is not None else None
-    if args.input is not None:
-        if rng is not None and args.format == "json":
-            # the periodic extension rules are phased to the document's own
-            # span, so a cut document could not keep them exact
-            raise ValueError("--range cannot cut a JSON document; use "
-                             "--format csv or drop --range")
-        w = _load_input(args.input)
-    elif rng is None:
-        raise ValueError("--range is required with --family")
-    else:
-        w = build_family(args.family, *rng)
+    if args.input is not None and rng is not None and args.format == "json":
+        # the periodic extension rules are phased to the document's own
+        # span, so a cut document could not keep them exact
+        raise ValueError("--range cannot cut a JSON document; use "
+                         "--format csv or drop --range")
+    w = _load(args, rng, "export")
     if args.format == "json":
         return to_json(w), 0
     return to_csv(w, *(rng or (w.lo, w.hi))), 0

@@ -16,7 +16,6 @@ import operator
 import os
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 
 from .errors import (
@@ -645,18 +644,45 @@ def int_rows(columns: Sequence[Iterable], row: str | Iterable[str],
     """``head``, then the ``%`` template ``row`` for each row of the zipped
     ``columns``, ``sep`` between each two, then ``tail``: the one writer of
     integer text, by one ``%`` over every cell.  ``row`` may instead be one
-    template per row, each leaving out its row's None cells, so that no
-    None becomes text.  The largest integer cell of the end rows goes
-    first, to refuse it at once (``to_document``)."""
+    template per row.  The largest integer cell of the end rows goes first,
+    to refuse it at once."""
     width = len(columns)
     cells = tuple(chain.from_iterable(zip(*columns)))
     "%d" % max([c for c in cells[:width] + cells[-width:]
                 if hasattr(c, "__index__")], key=abs, default=0)
     if isinstance(row, str):
         row = [row] * (len(cells) // width)
-    else:
-        cells = tuple(filter(partial(operator.is_not, None), cells))
     return "".join((head, sep.join(row) % cells, tail))
+
+
+def records(fmt: str, columns: Sequence[Iterable], cells: dict,
+            rows: Iterable | None = None) -> str:
+    """``columns`` as "csv", a header row of the names then one line per
+    row, or as "json", a list of objects laid out as ``json.dumps`` with
+    ``indent`` 2 (``int_rows``).  ``cells`` maps each column's name (which
+    needs no escaping) to its JSON cell template: ``"%d"``, ``'"%d"'``,
+    ``'"%s"'``, ``"%r"``, a quoted literal, which takes no column, or None
+    for null, whose column holds None.  A csv cell is its template unquoted,
+    a null one empty.  With ``rows``, ``cells`` maps each kind of row to
+    such a map, all with the same names, and ``rows`` gives each row's."""
+    kinds = {None: cells} if rows is None else cells
+    # a null cell's "%.0s" takes its None and writes none of it
+    if fmt == "json":
+        row = {kind: "{" + ",".join(f'\n    "{name}": {cell or "%.0snull"}'
+                                    for name, cell in m.items()) + "\n  }"
+               for kind, m in kinds.items()}
+        layout = ("[\n  ", ",\n  ", "\n]")
+    else:
+        row = {kind: ",".join((cell or "%.0s").strip('"')
+                              for cell in m.values()) + "\n"
+               for kind, m in kinds.items()}
+        layout = (",".join(next(iter(kinds.values()))) + "\n",)
+    return int_rows(columns, row[None] if rows is None
+                    else map(row.__getitem__, rows), *layout)
+
+
+#: the columns of ``to_csv`` and of ``reference``
+INDEX_VALUE = {"index": "%d", "value": '"%d"'}
 
 
 # --- serialization -----------------------------------------------------------
@@ -735,21 +761,21 @@ def from_document(d: dict) -> SeqWindow:
     )
 
 
-_DOCUMENT = ('{\n  "lo": %d,\n  "values": [\n    "%s"\n  ],\n'
-             '  "left": %s,\n  "right": %s\n}')
 _UNDEFINED = '{\n    "kind": "undefined"\n  }'
-_PERIODIC = '{\n    "kind": "periodic",\n    "unit": [\n      "%s"\n    ]\n  }'
+#: the text of a periodic rule before, between and after its unit's values
+_PERIODIC = ('{\n    "kind": "periodic",\n    "unit": [\n      ', ",\n      ",
+             "\n    ]\n  }")
 
 
 def to_json(w: SeqWindow) -> str:
-    """The indented JSON text of ``to_document(w)``, laid out by templates:
-    every string in a document is ``str`` of an int, so none needs escaping
-    and they are joined as they are."""
-    d = to_document(w)
-    left, right = (_PERIODIC % '",\n      "'.join(rule["unit"])
-                   if rule["kind"] == "periodic" else _UNDEFINED
-                   for rule in (d["left"], d["right"]))
-    return _DOCUMENT % (d["lo"], '",\n    "'.join(d["values"]), left, right)
+    """The indented JSON text of ``to_document(w)``, laid out by templates,
+    its values and tail units written by ``int_rows``."""
+    left, right = (_UNDEFINED if rule is None
+                   else int_rows((rule.unit,), '"%d"', *_PERIODIC)
+                   for rule in (w.left, w.right))
+    return int_rows((w.values,), '"%d"',
+                    '{\n  "lo": %d,\n  "values": [\n    ' % w.lo, ",\n    ",
+                    f'\n  ],\n  "left": {left},\n  "right": {right}\n}}')
 
 
 def from_json(text: str) -> SeqWindow:
@@ -762,13 +788,9 @@ def from_json(text: str) -> SeqWindow:
 
 
 def to_csv(w: SeqWindow, a: int | None = None, b: int | None = None) -> str:
-    """``index,value`` rows with header, LF line endings (``int_rows``)."""
-    if a is None:
-        a = w.lo
-    if b is None:
-        b = w.hi
-    return int_rows((range(a, b + 1), w.slice(a, b)), "%d,%d\n",
-                    "index,value\n")
+    """``index,value`` rows with header, LF line endings (``records``)."""
+    a, b = w.lo if a is None else a, w.hi if b is None else b
+    return records("csv", (range(a, b + 1), w.slice(a, b)), INDEX_VALUE)
 
 
 def from_csv(text: str) -> SeqWindow:
@@ -777,7 +799,7 @@ def from_csv(text: str) -> SeqWindow:
         rows = list(reader)
     except csv.Error as exc:  # a field past csv.field_size_limit(), say
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if rows[:1] != [["index", "value"]]:
+    if rows[:1] != [list(INDEX_VALUE)]:
         raise ValueError("expected 'index,value' header")
     fields = rows[1:]
     if not fields:

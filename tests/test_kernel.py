@@ -680,12 +680,19 @@ class TestLookupCounts:
                 want = sum(stored) - 2 * (u - len(stored)) + u
                 assert out.value_at(p + 1) == want, p
 
-    def test_verify_on_a_pi_row(self, calls):
+    def test_verify_on_a_pi_row(self, calls, monkeypatch):
         w = pi_window(3, 40)
+        reads = []
+        column = seqcore._column
+        monkeypatch.setattr(seqcore, "_column", lambda w, a, b: (
+            reads.append((a, b)) or column(w, a, b)))
+        calls.update(n=0, builds=0)
         report = verify_O_range(w, w.lo - 5, w.hi)
         assert report.ok_count == len(w.values) + 4
-        # one pass over the range: fewer lookups than positions
-        assert calls["n"] < len(report.entries)
+        # one pass over the range: one column of heads, one of the values
+        # checked, and every sum off one G
+        assert reads == [(w.lo - 5, w.hi), (w.lo - 4, w.hi + 1)]
+        assert calls == {"n": 0, "builds": 1}
 
 
 class TestOneTailReader:

@@ -278,11 +278,9 @@ def test_golden_integer_rows_never_run_the_csv_writer(line, code, stdout, docs,
 
 
 #: every output that holds a sequence value, an index or a closed-form
-#: cell: all but enumerations and sequence documents (``to_json``)
+#: cell: all but enumerations
 CELL_CASES = [case for case in OUTPUT_CASES
-              if not case[0].startswith("enumerate")
-              and not (case[0].split()[0] in ("gen", "diff", "export")
-                       and "--format json" in case[0])]
+              if not case[0].startswith("enumerate")]
 
 
 @pytest.mark.parametrize("line, code, stdout", CELL_CASES,
@@ -419,6 +417,47 @@ class TestOneReader:
             w.slice(-1, 2)
 
 
+class Cell:
+    """An int that ``%d`` reads through ``__index__``, each read recorded
+    in ``seen``."""
+
+    def __init__(self, value, seen):
+        self.value, self.seen = value, seen
+
+    def __index__(self):
+        self.seen.append(self.value)
+        return self.value
+
+    def __abs__(self):
+        return abs(self.value)
+
+
+#: the values of a column by its JSON cell template: ints of any sign and
+#: size bare or quoted, text that needs no escaping or csv quoting, finite
+#: floats, and null
+CELL_KINDS = {
+    "%d": big_ints, '"%d"': big_ints,
+    '"%s"': st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                  blacklist_characters='",\\'), min_size=1),
+    "%r": st.floats(allow_nan=False, allow_infinity=False),
+    None: st.none(),
+}
+INT_CELLS = ("%d", '"%d"')
+
+
+@st.composite
+def record_tables(draw):
+    """A map of column names to cell templates, and one or more rows of
+    values.  A row of one null cell is left out: ``csv.writer`` writes it
+    as ``""``, to tell it from a blank line."""
+    cells = draw(st.dictionaries(
+        st.text("abcxyz_019", min_size=1, max_size=6),
+        st.sampled_from(list(CELL_KINDS)), min_size=1, max_size=5).filter(
+            lambda cells: list(cells.values()) != [None]))
+    kinds = [CELL_KINDS[kind] for kind in cells.values()]
+    return cells, draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6))
+
+
 class TestDigitLimitFirst:
     """A row past ``str``'s digit limit is refused after one conversion:
     the larger end goes first."""
@@ -444,23 +483,12 @@ class TestDigitLimitFirst:
 
     @pytest.fixture
     def cells(self):
-        """A maker of cells that ``%d`` reads through ``__index__``, each
-        read recorded in ``cells.seen``; None stays None."""
+        """A maker of ``Cell``s, each read recorded in ``cells.seen``; None
+        stays None."""
         seen = []
 
-        class Cell:
-            def __init__(self, value):
-                self.value = value
-
-            def __index__(self):
-                seen.append(self.value)
-                return self.value
-
-            def __abs__(self):
-                return abs(self.value)
-
         def make(*values):
-            return [None if v is None else Cell(v) for v in values]
+            return [None if v is None else Cell(v, seen) for v in values]
 
         make.seen = seen
         return make
@@ -473,40 +501,58 @@ class TestDigitLimitFirst:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verify_rows_by_status(self, cells, fmt):
-        """One template per status; an uncheckable row's None cells are
-        left out, and the largest end cell is still converted first."""
+        """One cell map per status; an uncheckable row's None cells are
+        written empty or null, and the largest end cell is still converted
+        first."""
         statuses = ("ok", "violation", "uncheckable", "ok")
         columns = (cells(1, 2, 3, 4), cells(2, 500, None, -90),
                    cells(2, 6, None, -90))
-        layout = cli._JSON_LIST if fmt == "json" else ("head\n",)
-        text = int_rows(columns, [cli._VERIFY_ROWS[fmt][s] for s in statuses],
-                        *layout)
+        text = seqcore.records(fmt, columns, cli._VERIFY_CELLS, statuses)
         assert cells.seen == [-90, 1, 2, 2, 2, 500, 6, 3, 4, -90, -90]
         rows = [(1, 2, 2), (2, 500, 6), (3, None, None), (4, -90, -90)]
         if fmt == "csv":
-            assert text == "head\n" + csv_writer([], [
-                (p, e, a, s) for (p, e, a), s in zip(rows, statuses)])
+            assert text == csv_writer(
+                ["position", "expected", "actual", "status"],
+                [(p, e, a, s) for (p, e, a), s in zip(rows, statuses)])
         else:
             assert text == json.dumps([
                 {"position": p, "expected": e and str(e),
                  "actual": a and str(a), "status": s}
                 for (p, e, a), s in zip(rows, statuses)], indent=2)
 
-    def test_json_object_rows(self, cells):
-        names = ("index", "iterative", "closed_form")
-        text = int_rows([cells(0, 1), cells(7, -800), cells(7, 9)],
-                        cli._json_object(**dict.fromkeys(names, "%d")),
-                        *cli._JSON_LIST)
-        assert cells.seen == [-800, 0, 7, 7, 1, -800, 9]
-        assert text == json.dumps([dict(zip(names, (0, 7, 7))),
-                                   dict(zip(names, (1, -800, 9)))], indent=2)
+    @given(record_tables(), st.sampled_from(["csv", "json"]))
+    @example(({"index": "%d", "iterative": "%d", "closed_form": "%d"},
+              [(0, 7, 7), (1, -800, 9)]), "json")
+    def test_json_object_rows(self, table, fmt):
+        """Every kind of cell, as ``csv.writer`` and the indented encoder
+        write it; the largest integer cell of the end rows is converted
+        first, then every integer cell in order."""
+        cells, rows = table
+        kinds = list(cells.values())
+        seen = []
+        columns = [[Cell(v, seen) if kind in INT_CELLS else v for v in col]
+                   for kind, col in zip(kinds, zip(*rows))]
+        text = seqcore.records(fmt, columns, cells)
+        ints = [[v for kind, v in zip(kinds, row) if kind in INT_CELLS]
+                for row in rows]
+        ends = ints[0] + ints[-1]
+        first = [max(ends, key=abs)] if ends else []
+        assert seen == first + sum(ints, [])
+        if fmt == "csv":
+            assert text == csv_writer(list(cells), rows)
+        else:
+            assert text == json.dumps([
+                {name: str(v) if kind == '"%d"' else v
+                 for name, kind, v in zip(cells, kinds, row)}
+                for row in rows], indent=2)
 
     def test_an_approx_row(self, cells):
         """``exact`` by ``%d``, ``predicted`` text by ``%s`` and the float
         ``rel_error`` by ``%r``; only integer cells go first."""
-        text = int_rows([cells(0, 1), ["321.000", "-1088.667"],
-                         cells(321, -1096), [0.0, 0.006690997566909975]],
-                        cli._APPROX_JSON, *cli._JSON_LIST)
+        text = seqcore.records("json", [cells(0, 1), ["321.000", "-1088.667"],
+                                        cells(321, -1096),
+                                        [0.0, 0.006690997566909975]],
+                               cli._APPROX_CELLS)
         assert cells.seen == [-1096, 0, 321, 1, -1096]
         assert text == json.dumps([
             {"r": 0, "predicted": "321.000", "exact": "321", "rel_error": 0.0},
