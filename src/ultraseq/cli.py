@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from itertools import islice
 
 from . import reference, seqcore
-from .errors import UltraseqError, brief
+from .errors import brief
 from .exactmath import fixed_point
 from .families import (
     approx_report,
@@ -161,8 +161,9 @@ def _cmd_gen(args) -> tuple[str, int]:
 #: a ``verify`` record by status; an uncheckable position has no values
 _VERIFY_CELLS = {status: {"position": "%d", "expected": value, "actual": value,
                           "status": f'"{status}"'}
-                 for status, value in (("ok", '"%d"'), ("violation", '"%d"'),
-                                       ("uncheckable", None))}
+                 for status, value in ((seqcore.OK, '"%d"'),
+                                       (seqcore.VIOLATION, '"%d"'),
+                                       (seqcore.UNCHECKABLE, None))}
 _VIOLATION = "violation at %d: expected %d, got %d\n"
 
 
@@ -305,8 +306,8 @@ def dispatch(argv: Sequence[str]) -> int:
         text, code = args.run(args)
         _emit(text, args.output)
         return code
-    except (ValueError, KeyError, OSError, UltraseqError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every failure, a MemoryError too, exits 2
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
 
 

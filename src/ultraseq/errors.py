@@ -14,24 +14,26 @@ class _Brief(reprlib.Repr):
             return f"<a {d}-digit integer>"
 
 
+#: the most characters an echoed input keeps
+_WIDTH = 80
 _REPR = _Brief()
-_REPR.maxstring = _REPR.maxlong = 80
+_REPR.maxstring = _REPR.maxlong = _WIDTH
 
 
-def clip(text: str, limit: int = 80) -> str:
-    """``text`` as is when it has at most ``limit`` characters, else its two
-    ends around "...", ``limit`` characters in all."""
-    if len(text) <= limit:
+def clip(text: str) -> str:
+    """``text`` as is when it has at most ``_WIDTH`` characters, else its
+    two ends around "...", ``_WIDTH`` characters in all."""
+    if len(text) <= _WIDTH:
         return text
-    head = (limit - 3) // 2
-    return f"{text[:head]}...{text[len(text) - (limit - 3 - head):]}"
+    head = (_WIDTH - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (_WIDTH - 3 - head):]}"
 
 
 def brief(value) -> str:
     """``repr(value)`` for a one-line error message: ``reprlib`` keeps the
     ends of a long string or integer and the first items of a long or deep
     container, an integer too long for ``str`` is named by its digit count,
-    and the text is clipped to 80 characters."""
+    and the text is clipped to ``_WIDTH`` characters."""
     return clip(_REPR.repr(value))
 
 

@@ -639,18 +639,18 @@ def window_add(a: SeqWindow, b: SeqWindow) -> SeqWindow:
 
 # --- text ----------------------------------------------------------------------
 
-def int_rows(columns: Sequence[Iterable], row: str | Iterable[str],
+def int_rows(columns: Sequence[Iterable], row: str | Iterator[str],
              head: str = "", sep: str = "", tail: str = "") -> str:
     """``head``, then the ``%`` template ``row`` for each row of the zipped
     ``columns``, ``sep`` between each two, then ``tail``: the one writer of
-    integer text, by one ``%`` over every cell.  ``row`` may instead be one
-    template per row.  The largest integer cell of the end rows goes first,
-    to refuse it at once."""
+    integer text, by one ``%`` over every cell.  ``row`` may instead be an
+    iterator of one template per row.  The largest integer cell of the end
+    rows goes first, to refuse it at once."""
     width = len(columns)
     cells = tuple(chain.from_iterable(zip(*columns)))
     "%d" % max([c for c in cells[:width] + cells[-width:]
                 if hasattr(c, "__index__")], key=abs, default=0)
-    if isinstance(row, str):
+    if not isinstance(row, Iterator):
         row = [row] * (len(cells) // width)
     return "".join((head, sep.join(row) % cells, tail))
 
@@ -687,20 +687,19 @@ INDEX_VALUE = {"index": "%d", "value": '"%d"'}
 
 # --- serialization -----------------------------------------------------------
 
-def _rule_to_json(rule: ExtRule) -> dict:
-    if rule is None:
-        return {"kind": "undefined"}
-    return {"kind": "periodic", "unit": list(map(str, rule.unit))}
-
-
 # the ASCII characters ``int`` reads besides digits and "-"
 _NOT_DECIMAL = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "_", "+")
 
 
-def _check_decimal(items: list, what: str) -> None:
-    """Refuse items whose text is not ASCII ``-?[0-9]+`` but which ``int``
-    would read (``"1_0"``, ``" 2 "``, ``"+5"``, non-ASCII digits), by
-    C-level scans of one join; ``int`` refuses every other text."""
+def _decimals(items: list, what: str) -> Iterator[int]:
+    """``items``, a list of decimal strings and JSON integers, as ints,
+    lazily: the one reader of integer text.  Any other list, or text that
+    is not ASCII ``-?[0-9]+`` but which ``int`` would read (``"1_0"``,
+    ``" 2 "``, ``"+5"``, non-ASCII digits), is refused at once, by C-level
+    scans of one join; ``int`` refuses every other text as it reads it."""
+    if type(items) is not list or not set(map(type, items)) <= {str, int}:
+        raise ValueError(f"{what} must be a list of decimal strings or "
+                         "integers")
     try:
         text = "".join(items)
     except TypeError:  # JSON integers among the strings
@@ -708,17 +707,6 @@ def _check_decimal(items: list, what: str) -> None:
     if not text.isascii() or any(c in text for c in _NOT_DECIMAL):
         raise ValueError(f"{what} must be decimal integers: ASCII digits "
                          "after an optional '-'")
-
-
-def _int_items(d: dict, key: str) -> Iterator[int]:
-    """The items of ``d[key]`` as ints, lazily, once ``d[key]`` is checked to
-    be a list of decimal strings or JSON integers; the items are checked at
-    C level, with no loop per item."""
-    items = d.get(key)
-    if type(items) is not list or not set(map(type, items)) <= {str, int}:
-        raise ValueError(f"{key!r} must be a list of decimal strings or "
-                         "integers")
-    _check_decimal(items, repr(key))
     return map(int, items)
 
 
@@ -727,21 +715,14 @@ def _rule_from_json(d: dict) -> ExtRule:
     if kind == "undefined":
         return None
     if kind == "periodic":
-        return Periodic(_int_items(d, "unit"))
+        return Periodic(_decimals(d.get("unit"), "'unit'"))
     raise ValueError(f"unknown extension rule kind: {brief(kind)}")
 
 
 def to_document(w: SeqWindow) -> dict:
-    """JSON-ready document; values as decimal strings to stay bit-exact.  The
-    larger end goes first: a row grows toward an end, so one past the digit
-    limit is refused after one conversion."""
-    str(max(w.values[0], w.values[-1], key=abs))
-    return {
-        "lo": w.lo,
-        "values": list(map(str, w.values)),
-        "left": _rule_to_json(w.left),
-        "right": _rule_to_json(w.right),
-    }
+    """The parse of ``to_json(w)``: values as decimal strings, to stay
+    bit-exact."""
+    return json.loads(to_json(w))
 
 
 def from_document(d: dict) -> SeqWindow:
@@ -755,7 +736,7 @@ def from_document(d: dict) -> SeqWindow:
         raise ValueError(f"'lo' must be an integer, got {brief(d.get('lo'))}")
     return SeqWindow(
         d["lo"],
-        _int_items(d, "values"),
+        _decimals(d.get("values"), "'values'"),
         left=_rule_from_json(d.get("left")),
         right=_rule_from_json(d.get("right")),
     )
@@ -768,8 +749,8 @@ _PERIODIC = ('{\n    "kind": "periodic",\n    "unit": [\n      ', ",\n      ",
 
 
 def to_json(w: SeqWindow) -> str:
-    """The indented JSON text of ``to_document(w)``, laid out by templates,
-    its values and tail units written by ``int_rows``."""
+    """The indented JSON document of ``w``, laid out by templates, its
+    values and tail units written as strings by ``int_rows``."""
     left, right = (_UNDEFINED if rule is None
                    else int_rows((rule.unit,), '"%d"', *_PERIODIC)
                    for rule in (w.left, w.right))
@@ -808,9 +789,8 @@ def from_csv(text: str) -> SeqWindow:
         if len(row) != 2:
             raise ValueError(f"line {line}: expected 'index,value', got "
                              f"{len(row)} fields")
-    _check_decimal(list(chain.from_iterable(fields)), "indices and values")
-    indices, values = zip(*fields)
-    lo = int(indices[0])
-    if list(map(int, indices)) != list(range(lo, lo + len(fields))):
+    ints = list(_decimals(list(chain.from_iterable(fields)),
+                          "indices and values"))
+    if ints[::2] != list(range(ints[0], ints[0] + len(fields))):
         raise ValueError("indices must be contiguous and ascending")
-    return SeqWindow(lo, map(int, values))
+    return SeqWindow(ints[0], ints[1::2])

@@ -657,6 +657,22 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
 
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError(), "error: MemoryError\n"),
+        (RuntimeError("boom"), "error: boom\n")])
+    def test_any_failure_is_one_error_line(self, capsys, monkeypatch,
+                                           tmp_path, exc, err):
+        """An exception of any type exits 2 with one line, named by its
+        type when it has no message, and writes no output file."""
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_family", failing)
+        target = tmp_path / "out.csv"
+        assert run(capsys, "gen", "--family", "pi:m=1", "--range", "0..2",
+                   "--format", "csv", "--output", str(target)) == (2, "", err)
+        assert not target.exists()
+
     def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({

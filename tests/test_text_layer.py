@@ -23,6 +23,8 @@ from ultraseq.families import parse_family, tau_enumerate
 from ultraseq.seqcore import (
     Periodic,
     SeqWindow,
+    from_csv,
+    from_json,
     int_rows,
     range_sum,
     to_csv,
@@ -48,6 +50,17 @@ def joined_rows(header, rows, sep: str) -> str:
     unless it is empty: the table layout ``int_rows`` replaced."""
     lines = [header, *rows] if header else rows
     return "".join(sep.join(map(str, line)) + "\n" for line in lines)
+
+
+def naive_document(w: SeqWindow) -> dict:
+    """The document of ``w`` built as a dict, one ``str`` per value: the
+    writer that ``to_document``, the parse of ``to_json``, replaced."""
+    def rule(r):
+        return ({"kind": "undefined"} if r is None
+                else {"kind": "periodic", "unit": list(map(str, r.unit))})
+
+    return {"lo": w.lo, "values": list(map(str, w.values)),
+            "left": rule(w.left), "right": rule(w.right)}
 
 
 def read_at(w: SeqWindow, k: int) -> Optional[int]:
@@ -317,6 +330,48 @@ def test_a_row_past_the_digit_limit_is_one_error_line(command, capsys):
     assert err.startswith("error: Exceeds the limit (640 digits)")
 
 
+class TestTwoBoundaryFunctions:
+    """Integers cross the text boundary in two functions: ``int_rows``
+    writes every one, ``_decimals`` reads every one."""
+
+    W = SeqWindow(-2, [5, -7, 10 ** 40], left=Periodic((1, -2)),
+                  right=Periodic((3,)))
+
+    def written(self):
+        columns = (range(3), [5, -7, 10 ** 40])
+        return [to_json(self.W), to_document(self.W), to_csv(self.W),
+                *(seqcore.records(fmt, columns, seqcore.INDEX_VALUE)
+                  for fmt in ("csv", "json"))]
+
+    def test_no_writer_calls_str(self, monkeypatch):
+        before = self.written()
+
+        def refused(*args):
+            raise AssertionError("str ran")
+
+        monkeypatch.setattr(seqcore, "str", refused, raising=False)
+        assert self.written() == before
+
+    def test_every_reader_goes_through_decimals(self, monkeypatch, tmp_path,
+                                                capsys):
+        def refused(items, what):
+            raise ValueError("_decimals ran")
+
+        texts = {".json": to_json(self.W), ".csv": to_csv(self.W)}
+        monkeypatch.setattr(seqcore, "_decimals", refused)
+        for read, suffix in ((from_json, ".json"), (from_csv, ".csv")):
+            with pytest.raises(ValueError, match="_decimals ran"):
+                read(texts[suffix])
+        for suffix, text in texts.items():
+            path = tmp_path / f"w{suffix}"
+            path.write_text(text)
+            for argv in (["verify", "--input", str(path), "--range", "0..1"],
+                         ["export", "--input", str(path), "--format", "csv"],
+                         ["export", "--input", str(path), "--format", "json"]):
+                assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", "error: _decimals ran\n" * 6)
+
+
 # --- rows and tails ------------------------------------------------------------------
 
 units = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(tuple)
@@ -347,6 +402,13 @@ class TestRows:
     @example(SeqWindow(-1, [10 ** 300, 7], left=Periodic((0,))))
     def test_to_json_matches_the_indented_encoder(self, w):
         assert to_json(w) == json.dumps(to_document(w), indent=2)
+
+    @given(windows)
+    @example(SeqWindow(0, [-10 ** 300], right=Periodic((5, -6))))
+    @example(SeqWindow(-1, [10 ** 300, 7], left=Periodic((0,))))
+    def test_to_document_is_the_naive_document(self, w):
+        # the text pins key order and the type of every item as well
+        assert json.dumps(to_document(w)) == json.dumps(naive_document(w))
 
     def test_tails_on_both_sides(self):
         w = SeqWindow(3, (10, 20), left=Periodic((1, 2, 3)),
@@ -464,22 +526,10 @@ class TestDigitLimitFirst:
 
     BIG = 10 ** 5000
 
-    def test_to_document_converts_the_larger_end_first(self, monkeypatch):
-        seen = []
-
-        def counting(x):
-            seen.append(x)
-            return str(x)
-
-        monkeypatch.setattr(seqcore, "str", counting, raising=False)
+    def test_both_ends_of_a_document_refuse_at_the_limit(self):
         for values in ([1, 2, self.BIG], [-self.BIG, 2, 3]):
-            seen.clear()
             with pytest.raises(ValueError, match="4300 digits"):
                 to_document(SeqWindow(0, values))
-            assert [x.bit_length() for x in seen] == [self.BIG.bit_length()]
-        seen.clear()
-        doc = to_document(SeqWindow(0, [5, -7, -6]))
-        assert seen == [-6, 5, -7, -6] and doc["values"] == ["5", "-7", "-6"]
 
     @pytest.fixture
     def cells(self):
