@@ -178,8 +178,9 @@ def _cmd_verify(args) -> tuple[str, int]:
             f"{report.ok_count} ok, {report.violation_count} violations, "
             f"{report.uncheckable_count} uncheckable\n")
     else:
-        *columns, statuses = zip(*report.entries)
-        text = seqcore.records(args.format, columns, _VERIFY_CELLS, statuses)
+        text = seqcore.records(args.format, (range(lo, hi + 1),
+                                             report._expected, report._actual),
+                               _VERIFY_CELLS, report._statuses)
     failed = report.violation_count or (args.strict and report.uncheckable_count)
     return text, 1 if failed else 0
 

@@ -7,6 +7,7 @@ two-point growth approximation model.
 from __future__ import annotations
 
 import math
+import operator
 from collections import abc, namedtuple
 from fractions import Fraction
 from itertools import combinations, islice
@@ -42,11 +43,11 @@ def pi_window(m: int, n_max: int) -> SeqWindow:
     """Constant -2 left tail, seed m at index 0, generated forward.
 
     Construction is cross-checked against the running-sum identity
-    u[n+1] = S_n + 2n + 2, S_n the sum of u[0..n-1]; a failure raises
-    IdentityViolation.  The identity implies the affine two-term
-    recurrence: subtracting it at n = p-2 from it at n = p-1 gives
-    u[p] - u[p-1] = S_{p-1} - S_{p-2} + 2 = u[p-2] + 2 for every p in
-    2..n_max, so that recurrence needs no check of its own.
+    u[n+1] = S_n + 2n + 2, S_n the sum of u[0..n-1] (prefix sums, left
+    cached); IdentityViolation names the first n where it fails.  It implies
+    the affine two-term recurrence: subtracting it at n = p-2 from it at
+    n = p-1 gives u[p] - u[p-1] = S_{p-1} - S_{p-2} + 2 = u[p-2] + 2 for
+    every p in 2..n_max, so that recurrence needs no check of its own.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -55,13 +56,11 @@ def pi_window(m: int, n_max: int) -> SeqWindow:
     w = SeqWindow(0, (m,), left=constant(-2))
     if n_max > 0:
         w = extend_right_by_O(w, n_max)
-    u = w.values  # u[n] is the value at index n
-    s = 0  # S_n, the sum of the values at 0..n-1
-    for n in range(0, n_max):
-        if u[n + 1] != s + 2 * n + 2:
-            raise IdentityViolation(
-                f"running-sum identity failed at m={m}, n={n}")
-        s += u[n]
+    gaps = list(map(operator.sub, w.values[1:], w._prefix[:-2]))
+    want = range(2, 2 * n_max + 2, 2)
+    if gaps != list(want):
+        n = list(map(operator.eq, gaps, want)).index(False)
+        raise IdentityViolation(f"running-sum identity failed at m={m}, n={n}")
     return w
 
 

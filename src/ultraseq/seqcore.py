@@ -138,14 +138,19 @@ class SeqWindow(Frozen):
 
     def __init__(self, lo: int, values: Iterable[int],
                  left: ExtRule = None, right: ExtRule = None):
-        values = _exact(values, "window values")
-        if not values:
+        self._fill(lo, _exact(values, "window values"), left, right)
+
+    def _fill(self, lo: int, ints: Iterable, left: ExtRule, right: ExtRule):
+        """``self`` over ``ints``, which must be ints: no second pass."""
+        ints = tuple(ints)
+        if not ints:
             raise WindowTooSmall("window must hold at least one value")
-        check_window_len(len(values))
+        check_window_len(len(ints))
         object.__setattr__(self, "lo", _exact((lo,), "lo")[0])
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", ints)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        return self
 
     @property
     def hi(self) -> int:
@@ -193,12 +198,12 @@ def _signed_prefix(lo: int, prefix: list[int], left: ExtRule,
     """G(k), the signed sum of the values between ``lo`` and k: the sum over
     [lo, k) for k >= lo and minus the sum over [k, lo) for k < lo, so that
     the sum over [s, t) is G(t) - G(s) wherever it lies.  Inside the span G
-    reads ``prefix``, the span's prefix sums, which may grow in place.  Past
-    either end it is O(1) on the tail unit's prefix sums: with F(t) the sum
-    of unit[j % p] over [0, t) (minus the sum over [t, 0) for t < 0),
-    F(q*p + r) = q * F(p) + F(r), and the left tail is counted from ``lo``,
-    the right one from the span's end.  An undefined side raises
-    ``OutOfDomain`` at the far end of the range G would sum."""
+    reads ``prefix``, the span's prefix sums.  Past either end it is O(1) on
+    the tail unit's prefix sums: with F(t) the sum of unit[j % p] over
+    [0, t) (minus the sum over [t, 0) for t < 0), F(q*p + r) = q * F(p) +
+    F(r), and the left tail is counted from ``lo``, the right one from the
+    span's end.  An undefined side raises ``OutOfDomain`` at the far end of
+    the range G would sum."""
     if left is not None:
         lpre, lp = left._prefix, left.period
         ltot = lpre[-1]
@@ -338,13 +343,14 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
     head or a summand is undefined.  A negative head reads its successors,
     p+1 included.
 
-    One loop: each sum is G(t) - G(s) over the half-open summand range
-    [s, t), with G the window's signed prefix sum (``_signed_prefix``); an
-    end inside the stored span reads its prefix sums directly.
+    One loop over the summand ranges [t - c, t), c = |u|: one that ends in
+    the span reads its tail values from the head, any other G(t) - G(t - c).
     """
-    lo, end = w.lo, w.hi + 1
-    prefix = w._prefix
-    G = _signed_prefix(lo, prefix, w.left, w.right)
+    lo, n, prefix, left = w.lo, len(w.values), w._prefix, w.left
+    G = _signed_prefix(lo, prefix, left, w.right)
+    if left is not None:  # the period, the unit's prefix sums and total
+        P, pre, T = left.period, left._prefix, left._prefix[-1]
+        PT = P + T
     out: list[int | None] = []
     append = out.append
     for p, u in zip(range(a, b + 1), _column(w, a, b)):
@@ -352,16 +358,26 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
             append(None)
             continue
         if u >= 0:
-            s, t, c = p - u + 1, p + 1, u
+            t, c = p + 1, u
         else:
-            s, t, c = p, p - u, -u
+            t, c = p - u, -u
+        i = t - lo
+        if 0 <= i <= n:
+            if c <= i:
+                append(prefix[i] - prefix[i - c] + c)
+            elif left is None:
+                append(None)
+            elif P == 1:
+                append(c * PT + prefix[i] - i * T)
+            else:
+                Q, R = divmod(c, P)  # c - i = (Q - q) * P - r
+                q, r = divmod(i - R, P)
+                append(Q * PT + prefix[i] + (R - q * T - pre[r]))
+            continue
         try:
-            gt = prefix[t - lo] if lo <= t <= end else G(t)
-            gs = prefix[s - lo] if lo <= s <= end else G(s)
+            append(G(t) - G(t - c) + c)
         except OutOfDomain:
             append(None)
-            continue
-        append(gt - gs + c)
     return out
 
 
@@ -387,24 +403,25 @@ CheckEntry = namedtuple("CheckEntry", "position expected actual status")
 
 
 class CheckReport(Frozen):
-    # caches, outside the value: _statuses holds each entry's status, in
-    # order, and _counts each status's count
-    __slots__ = ("entries", "_statuses", "_counts")
+    # caches, outside the value: the entries' columns and each status's count
+    __slots__ = ("entries", "_expected", "_actual", "_statuses", "_counts")
     _fields = ("entries",)
 
     def __new__(cls, entries: Iterable[CheckEntry]):
         entries = tuple(entries)
-        positions = [e.position for e in entries]
+        positions, *columns = zip(*entries) if entries else ((),) * 4
         if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
-        return cls._of(entries, [e.status for e in entries])
+        return cls._of(entries, *columns)
 
     @classmethod
-    def _of(cls, entries: tuple, statuses: list[str]) -> CheckReport:
-        """The report of ``entries`` whose statuses are ``statuses``, in
-        order, with no check that the positions increase."""
+    def _of(cls, entries: tuple, expected: Sequence, actual: Sequence,
+            statuses: Sequence[str]) -> CheckReport:
+        """The report of ``entries`` and its other columns, unchecked."""
         report = object.__new__(cls)
         object.__setattr__(report, "entries", entries)
+        object.__setattr__(report, "_expected", expected)
+        object.__setattr__(report, "_actual", actual)
         object.__setattr__(report, "_statuses", statuses)
         object.__setattr__(report, "_counts", Counter(statuses))
         return report
@@ -469,7 +486,7 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
             pass
     entries = tuple(map(tuple.__new__, repeat(CheckEntry),
                         zip(range(a, b + 1), expected, actual, statuses)))
-    return CheckReport._of(entries, statuses)
+    return CheckReport._of(entries, expected, actual, statuses)
 
 
 # --- generation --------------------------------------------------------------
@@ -484,28 +501,34 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     a caller-chosen value.  Supplied values must be integers; they are not
     checked against the equation here (that is the verifier's job).
 
-    The successor of a head h > 0 is the running total less G(pos - h),
-    plus h: the start of the summand range is read off the prefix sums
-    inside the span and off the window's one G (``_signed_prefix``) past
-    its left end, as ``o_successors`` reads them.  Heads 0 and -1 give 0.
+    A head h > 0 sums [pos - h, pos) as ``o_successors`` sums a range that
+    ends in the span, with the running total as its end; 0 and -1 give 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if w.right is not None:
         raise IncompatibleShape("window already has a right extension rule")
     check_window_len(len(w.values) + steps, "extended window")
-    lo = w.lo
-    vals = list(w.values)
-    prefix = list(accumulate(vals, initial=0))
-    G = _signed_prefix(lo, prefix, w.left, None)
+    lo, left = w.lo, w.left
+    if left is not None:  # the period, the unit's prefix sums and total
+        P, pre, T = left.period, left._prefix, left._prefix[-1]
+        PT = P + T
+    vals, prefix = list(w.values), list(accumulate(w.values, initial=0))
     head, total = vals[-1], prefix[-1]
-    for pos in range(w.hi + 1, w.hi + 1 + steps):
+    for i, pos in enumerate(range(w.hi + 1, w.hi + 1 + steps), len(vals)):
         if supplied is not None and pos in supplied:
             (head,) = _exact((supplied[pos],), "supplied value")
-        elif head > 0:
-            # the equation at pos - 1, summing [pos - head, pos)
-            s = pos - head
-            head += total - (prefix[s - lo] if s >= lo else G(s))
+        elif head > 0:  # the equation at pos - 1, i values in the span
+            if head <= i:
+                head += total - prefix[i - head]
+            elif left is None:
+                raise OutOfDomain(pos - head)
+            elif P == 1:
+                head = head * PT + total - i * T
+            else:
+                Q, R = divmod(head, P)
+                q, r = divmod(i - R, P)
+                head = Q * PT + total + (R - q * T - pre[r])
         elif head >= -1:
             head = 0
         else:
@@ -734,12 +757,9 @@ def from_document(d: dict) -> SeqWindow:
                          f"{type(d).__name__}")
     if type(d.get("lo")) is not int:
         raise ValueError(f"'lo' must be an integer, got {brief(d.get('lo'))}")
-    return SeqWindow(
-        d["lo"],
-        _decimals(d.get("values"), "'values'"),
-        left=_rule_from_json(d.get("left")),
-        right=_rule_from_json(d.get("right")),
-    )
+    return object.__new__(SeqWindow)._fill(
+        d["lo"], _decimals(d.get("values"), "'values'"),
+        _rule_from_json(d.get("left")), _rule_from_json(d.get("right")))
 
 
 _UNDEFINED = '{\n    "kind": "undefined"\n  }'
@@ -793,4 +813,4 @@ def from_csv(text: str) -> SeqWindow:
                           "indices and values"))
     if ints[::2] != list(range(ints[0], ints[0] + len(fields))):
         raise ValueError("indices must be contiguous and ascending")
-    return SeqWindow(ints[0], ints[1::2])
+    return object.__new__(SeqWindow)._fill(ints[0], ints[1::2], None, None)

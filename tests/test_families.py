@@ -49,7 +49,7 @@ from ultraseq.families import (
     tau_enumerate,
     tau_window,
 )
-from ultraseq.seqcore import MAX_WINDOW_ENV, verify_O_range
+from ultraseq.seqcore import MAX_WINDOW_ENV, SeqWindow, verify_O_range
 
 # Seeded rows m = 1..8, indices 0..7.
 PI_MATRIX = [
@@ -124,6 +124,26 @@ class TestPiFamily:
                 for n in range(0, 25, 3):
                     pi_row_relation(m, t, n)  # raises on failure
                     pi_two_point(m, t, 4, n)
+
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_a_bumped_value_breaks_the_identity_at_its_n(self, monkeypatch,
+                                                           k):
+        # u[k] enters the identity first at n = k - 1, as u[n + 1]
+        extend = families.extend_right_by_O
+
+        def bumped(w, steps):
+            values = list(extend(w, steps).values)
+            values[k] += 1
+            return SeqWindow(w.lo, values, left=w.left)
+
+        monkeypatch.setattr(families, "extend_right_by_O", bumped)
+        with pytest.raises(IdentityViolation, match=(
+                rf"^running-sum identity failed at m=3, n={k - 1}$")):
+            pi_window(3, 20)
+
+    def test_the_check_leaves_the_prefix_sums_cached(self):
+        w = pi_window(2, 30)
+        assert w._sums == [sum(w.values[:n]) for n in range(32)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from ultraseq.errors import (
 from ultraseq.families import (
     OPowerConfig,
     TauConfig,
+    build_family,
     canonical_o_power_config,
     composite_row,
     o_power_window,
@@ -118,6 +119,44 @@ def naive_apply_O(w: SeqWindow) -> SeqWindow:
 def naive_successors(w: SeqWindow, a: int, b: int) -> list:
     """The per-summand successor at each of a..b, None where it raises."""
     return naive_column(lambda p: naive_successor(w, p), a, b)
+
+
+def tail_stretch_sum(w: SeqWindow, a: int, b: int) -> int:
+    """The sum over [a, b), which lies in one tail: one period summed
+    naively, times the number of whole periods, plus the remainder summed
+    naively; OutOfDomain at a on an undefined side."""
+    read_at(w, a)
+    period = len((w.left if b <= w.lo else w.right).unit)
+    whole, rest = divmod(b - a, period)
+    if not whole:
+        return naive_range_sum(w, a, b - 1)
+    return (whole * naive_range_sum(w, a, a + period - 1)
+            + naive_range_sum(w, b - rest, b - 1))
+
+
+def tail_successor(w: SeqWindow, p: int) -> int:
+    """The equation's value at p + 1 for heads of any size: the summand
+    range's stretch in the span summed naively, the left one and then the
+    right one by ``tail_stretch_sum``."""
+    u = read_at(w, p)
+    s, t = (p - u + 1, p + 1) if u >= 0 else (p, p - u)
+    total = abs(u)
+    for a, b in ((s, min(t, w.lo)), (max(s, w.hi + 1), t)):
+        if a < b:
+            total += tail_stretch_sum(w, a, b)
+    return total + naive_range_sum(w, max(s, w.lo), min(t, w.hi + 1) - 1)
+
+
+def tail_extend(w: SeqWindow, steps: int) -> list[int]:
+    """Forward generation with ``tail_successor`` on the window so far."""
+    vals = list(w.values)
+    for _ in range(steps):
+        u = vals[-1]
+        if u <= -2:
+            raise NonDeterministic(w.lo + len(vals) - 1, u)
+        vals.append(tail_successor(SeqWindow(w.lo, vals, left=w.left),
+                                   w.lo + len(vals) - 1) if u > 0 else 0)
+    return vals
 
 
 def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
@@ -220,6 +259,14 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def located_outcome(fn, *args):
+    """The value of fn(*args), or the error it raised with its fields."""
+    try:
+        return fn(*args)
+    except UltraseqError as exc:
+        return type(exc), vars(exc)
+
+
 def same_window(a: SeqWindow, b: SeqWindow) -> bool:
     return ((a.lo, a.values, a.left, a.right)
             == (b.lo, b.values, b.left, b.right))
@@ -235,6 +282,21 @@ small_windows = st.builds(
     st.integers(min_value=-10, max_value=10),
     st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=10),
     left=small_rules,
+    right=small_rules,
+)
+
+
+#: left units of period 1 to 8 (period 1 drawn often), some undefined, and
+#: heads up to about 2 ** 3000 of either sign among small values
+head_units = st.one_of(st.integers(-6, 6).map(lambda v: (v,)),
+                       st.lists(st.integers(-6, 6), min_size=2,
+                                max_size=8).map(tuple))
+big_heads = st.one_of(st.integers(-8, 8), st.integers(-2 ** 3000, 2 ** 3000))
+head_windows = st.builds(
+    SeqWindow,
+    st.integers(min_value=-10, max_value=10),
+    st.lists(big_heads, min_size=1, max_size=10),
+    left=st.one_of(st.none(), st.builds(Periodic, head_units)),
     right=small_rules,
 )
 
@@ -376,7 +438,7 @@ class TestSuccessor:
 
 
 def python_calls(fn, *args) -> int:
-    """The Python-level calls ``fn(*args)`` makes, G reads excepted; with
+    """The Python-level calls ``fn(*args)`` makes, G reads included; with
     the collector off, which could finalize some other code's generator
     (a call to the profiler) in the middle."""
     calls = Counter()
@@ -392,7 +454,6 @@ def python_calls(fn, *args) -> int:
     finally:
         sys.setprofile(None)
         gc.enable()
-    del calls["G"]
     return sum(calls.values())
 
 
@@ -412,15 +473,57 @@ class TestReportBuild:
         assert r.violations() == want.violations() == [
             e for e in r.entries if e.status == "violation"]
 
+    @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
+    def test_caches_its_columns(self, w, a, length):
+        # what ``verify --format csv|json`` writes from
+        r = verify_O_range(w, a, a + length - 1)
+        want = [list(col) for col in zip(*r.entries)][1:]
+        for report in (r, CheckReport(r.entries)):
+            assert [list(report._expected), list(report._actual),
+                    list(report._statuses)] == want
+        empty = CheckReport(())
+        assert empty._expected == empty._statuses == () and empty.all_ok
+
     def test_python_calls_do_not_grow_with_the_row(self):
-        # a fresh row of each length, so each builds its own prefix sums;
-        # every position past the first few reads G left of lo
+        # a fresh row of each length; every position past the first few
+        # sums back past lo
         def report_calls(n):
             w = pi_window(1, n)
             return python_calls(verify_O_range, w, w.lo, w.hi)
 
         report_calls(20)  # fills the abc caches of Counter's type checks
         assert report_calls(2000) == report_calls(20)
+
+
+COMPOSITE = "composite:left=tau:m=1,P=5,N=1,seed=1"
+
+
+class TestFlatCalls:
+    """Clock-free pins: on pi and composite rows, whose heads from index 1
+    on reach deep into the left tail, verification and generation make as
+    many Python-level calls, G reads included, over 2000 positions as over
+    20."""
+
+    @staticmethod
+    def rows(n):
+        return pi_window(1, n), build_family(COMPOSITE, 0, n)
+
+    def test_verify_O_range(self):
+        def calls(n):
+            return [python_calls(verify_O_range, w, w.lo, w.hi)
+                    for w in self.rows(n)]
+
+        calls(20)  # fills the abc caches of Counter's type checks
+        assert calls(2000) == calls(20)
+
+    def test_extend_right_by_O(self):
+        # each seed ends at index 0, the generation's start
+        def calls(n):
+            return [python_calls(extend_right_by_O, SeqWindow(
+                w.lo, w.values[:1 - w.lo], left=w.left), n)
+                for w in self.rows(2)]
+
+        assert calls(2000) == calls(20)
 
 
 class TestApplyOKernel:
@@ -696,8 +799,9 @@ class TestLookupCounts:
 
 
 class TestOneTailReader:
-    """Clock-free pins: every sum that reaches a periodic tail is read off
-    the one signed prefix sum ``_signed_prefix`` builds."""
+    """Clock-free pins: a sum that reaches a periodic tail is read off the
+    one signed prefix sum ``_signed_prefix`` builds, except one that ends
+    in the span, which reads the left unit from the head."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -726,20 +830,56 @@ class TestOneTailReader:
         w = pi_window(3, 12)
         reads.update(builds=0, reads=0)
         # each head from 2 on sums back past lo into the constant tail, and
-        # its summand range ends inside the span
+        # its summand range ends inside the span: no G read
         assert all(w.value_at(p) > p - w.lo + 1 for p in range(2, 12))
         assert o_successors(w, 2, 11) == [w.value_at(p) for p in range(3, 13)]
-        assert reads == {"builds": 1, "reads": 10}
+        assert reads == {"builds": 1, "reads": 0}
 
     def test_extend_right_by_O_on_a_pi_seed(self, reads):
         seed = SeqWindow(0, (3,), left=constant(-2))
         out = extend_right_by_O(seed, 12)
         assert list(out.values) == naive_extend(seed, 12)
-        # the running total is the sum's end, and the prefix sums hold
-        # every start inside the span: G is read once per value whose
-        # summand range starts left of lo, the first 11 here
-        assert reads == {"builds": 1, "reads": 11}
+        # the running total is the sum's end, the prefix sums hold every
+        # start inside the span, and the 11 values whose summand range
+        # starts left of lo read the left unit: no G is built or read
+        assert reads == {"builds": 0, "reads": 0}
         assert sum(out.values[k] > k + 1 for k in range(12)) == 11
+
+
+class TestHeadForm:
+    """Sums that start in the left tail and end in the span, read from the
+    head (one divmod by the period, none on a constant tail), against an
+    oracle that sums the tail one period at a time."""
+
+    @settings(deadline=None)
+    @given(head_windows, st.integers(0, 12), st.integers(0, 12))
+    def test_o_successors(self, w, before, after):
+        a, b = w.lo - before, w.hi + after
+        assert o_successors(w, a, b) == naive_column(
+            lambda p: tail_successor(w, p), a, b)
+
+    @settings(deadline=None)
+    @given(head_windows.map(lambda w: SeqWindow(w.lo, w.values[:-1] + (
+        abs(w.values[-1]),), left=w.left)), st.integers(1, 6))
+    def test_extend_right_by_O(self, w, steps):
+        # an undefined left side raises OutOfDomain where the sum starts
+        def generated(w, steps):
+            return list(extend_right_by_O(w, steps).values)
+        assert located_outcome(generated, w, steps) == \
+            located_outcome(tail_extend, w, steps)
+
+    def test_both_forms_at_every_residue(self):
+        unit = (3, -1, 4, -1, 5, -9, 2)
+        for period in range(1, 8):
+            w = SeqWindow(-2, (2 ** 3000 + 17, 5, -1, 2 ** 2999),
+                          left=Periodic(unit[:period]))
+            for shift in range(period + 1):
+                v = SeqWindow(w.lo, w.values[:-1] + (w.values[-1] + shift,),
+                              left=w.left)
+                assert o_successors(v, v.lo - 3, v.hi) == naive_column(
+                    lambda p: tail_successor(v, p), v.lo - 3, v.hi)
+                assert list(extend_right_by_O(v, 3).values) == \
+                    tail_extend(v, 3)
 
 
 # --- forward generation ------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import example, given, strategies as st
 from test_cli_golden import GOLDEN, docs  # noqa: F401  (docs is a fixture)
 from ultraseq import cli, reference, seqcore
 from ultraseq.cli import dispatch
-from ultraseq.errors import OutOfDomain, TooLarge
+from ultraseq.errors import OutOfDomain, TooLarge, WindowTooSmall
 from ultraseq.families import parse_family, tau_enumerate
 from ultraseq.seqcore import (
     Periodic,
@@ -370,6 +370,28 @@ class TestTwoBoundaryFunctions:
                          ["export", "--input", str(path), "--format", "json"]):
                 assert dispatch(argv) == 2
         assert capsys.readouterr() == ("", "error: _decimals ran\n" * 6)
+
+    def test_readers_convert_each_value_once(self, monkeypatch):
+        exact, checked = seqcore._exact, []
+        span = SeqWindow(-2, self.W.values)
+        monkeypatch.setattr(seqcore, "_exact", lambda items, what: (
+            checked.append(what) or exact(items, what)))
+        assert from_json(to_json(self.W)) == self.W
+        assert from_csv(to_csv(self.W)) == span
+        # the ints ``_decimals`` reads take no second pass; lo and the
+        # tail units do
+        assert "window values" not in checked and "periodic unit" in checked
+
+    def test_readers_refuse_an_empty_window_and_one_over_the_cap(
+            self, monkeypatch):
+        doc = json.loads(to_json(self.W))
+        with pytest.raises(WindowTooSmall):
+            from_json(json.dumps({**doc, "values": []}))
+        texts = ((from_json, to_json(self.W)), (from_csv, to_csv(self.W)))
+        monkeypatch.setenv("ULTRASEQ_MAX_WINDOW", "2")
+        for read, text in texts:
+            with pytest.raises(TooLarge, match="window of 3 values"):
+                read(text)
 
 
 # --- rows and tails ------------------------------------------------------------------
