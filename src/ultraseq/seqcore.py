@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import os
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 
@@ -337,20 +337,63 @@ def _assemble(w: SeqWindow, col: list[int | None], a: int,
                      right=right)
 
 
+def _one_period(w: SeqWindow, a: int, b: int) -> tuple[int, int]:
+    """The range s..t to compute for a..b.  ``w`` is periodic everywhere
+    with period q when both sides carry a unit of length q, the span
+    continues the left tail in phase and the right tail continues the span
+    (two C-level tuple compares).  Then any shift-invariant column repeats
+    with period q, so for a..b longer than q it is the one period in phase
+    with a that starts in the first q stored positions, after a..b is
+    checked against the cap.  Otherwise it is a..b itself."""
+    left, right = w.left, w.right
+    if left is None or right is None:
+        return a, b
+    q = left.period
+    if b - a < q or right.period != q:
+        return a, b
+    s = w.values + right.unit
+    if s[:q] != left.unit or s[q:] != s[:-q]:
+        return a, b
+    check_window_len(b - a + 1, "range")
+    a = w.lo + (a - w.lo) % q
+    return a, a + q - 1
+
+
+def _repeat(col: list, n: int) -> list:
+    """``col``, one period of a column, repeated to n rows."""
+    if len(col) >= n:
+        return col
+    whole, rest = divmod(n, len(col))
+    return col * whole + col[:rest]
+
+
 def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
     """``|u| + sum_{i<|u|} w[p - i*sign(u)]`` with u = w[p], the value the
     self-generation equation gives p+1, for every p in a..b; None where the
     head or a summand is undefined.  A negative head reads its successors,
-    p+1 included.
+    p+1 included.  On a window periodic everywhere the equation is
+    shift-invariant, so one period (``_one_period``) is computed and
+    repeated."""
+    s, t = _one_period(w, a, b)
+    return _repeat(_successors(w, s, t), b - a + 1)
 
-    One loop over the summand ranges [t - c, t), c = |u|: one that ends in
-    the span reads its tail values from the head, any other G(t) - G(t - c).
-    """
-    lo, n, prefix, left = w.lo, len(w.values), w._prefix, w.left
-    G = _signed_prefix(lo, prefix, left, w.right)
+
+def _successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
+    """``o_successors`` at every position of a..b, by one loop over the
+    summand ranges [t - c, t), c = |u|.  One that ends in the span reads its
+    tail values from the head.  One wholly in a tail, its head a value of
+    that tail's unit, reads the unit's prefix sums as G does: with P the
+    period, T the total, F(x) the tail's sum over offsets [0, x) from its
+    end at the span and Q, R = divmod(c, P), the sum over offsets [x - c, x)
+    is Q * T + F(x) - F(x - R).  Any other range crosses the span's right
+    end and is G(t) - G(t - c)."""
+    lo, n, prefix, left, right = w.lo, len(w.values), w._prefix, w.left, w.right
+    G = _signed_prefix(lo, prefix, left, right)
     if left is not None:  # the period, the unit's prefix sums and total
         P, pre, T = left.period, left._prefix, left._prefix[-1]
         PT = P + T
+    if right is not None:
+        RP, rpre, RT = right.period, right._prefix, right._prefix[-1]
     out: list[int | None] = []
     append = out.append
     for p, u in zip(range(a, b + 1), _column(w, a, b)):
@@ -374,10 +417,28 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
                 q, r = divmod(i - R, P)
                 append(Q * PT + prefix[i] + (R - q * T - pre[r]))
             continue
-        try:
-            append(G(t) - G(t - c) + c)
-        except OutOfDomain:
+        if i < 0:  # wholly in the left tail, offsets from lo
+            if left is None:
+                append(None)
+                continue
+            Q, R = divmod(c, P)
+            r = i % P
+            append(Q * PT + R + pre[r] - (pre[r - R] if r >= R
+                                          else pre[r - R + P] - T))
+            continue
+        i -= n  # offsets from hi + 1
+        if right is None:
             append(None)
+        elif c <= i:  # wholly in the right tail
+            Q, R = divmod(c, RP)
+            r = i % RP
+            append(Q * (RP + RT) + R + rpre[r] - (rpre[r - R] if r >= R
+                                                  else rpre[r - R + RP] - RT))
+        else:
+            try:
+                append(G(t) - G(t - c) + c)
+            except OutOfDomain:
+                append(None)
     return out
 
 
@@ -403,8 +464,15 @@ CheckEntry = namedtuple("CheckEntry", "position expected actual status")
 
 
 class CheckReport(Frozen):
-    # caches, outside the value: the entries' columns and each status's count
-    __slots__ = ("entries", "_expected", "_actual", "_statuses", "_counts")
+    """The equation's check at each of n positions from ``_start``, held as
+    its expected, actual and status columns over one period, which repeat
+    to the n rows.  A plain report's period is its whole range, and it
+    builds its entries at once; a report of a window periodic everywhere
+    holds one period and builds them only when they are read."""
+
+    # caches, outside the value: the one-period columns, the range, and the
+    # entries once built
+    __slots__ = ("_columns", "_start", "_n", "_entries")
     _fields = ("entries",)
 
     def __new__(cls, entries: Iterable[CheckEntry]):
@@ -412,22 +480,42 @@ class CheckReport(Frozen):
         positions, *columns = zip(*entries) if entries else ((),) * 4
         if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
-        return cls._of(entries, *columns)
+        return cls._of(columns, 0, len(entries), entries)
 
     @classmethod
-    def _of(cls, entries: tuple, expected: Sequence, actual: Sequence,
-            statuses: Sequence[str]) -> CheckReport:
-        """The report of ``entries`` and its other columns, unchecked."""
+    def _of(cls, columns: Sequence[Sequence], start: int, n: int,
+            entries: tuple | None = None) -> CheckReport:
+        """The report whose ``columns`` repeat to n rows from ``start``,
+        unchecked; a plain one takes ``entries`` or builds them."""
         report = object.__new__(cls)
-        object.__setattr__(report, "entries", entries)
-        object.__setattr__(report, "_expected", expected)
-        object.__setattr__(report, "_actual", actual)
-        object.__setattr__(report, "_statuses", statuses)
-        object.__setattr__(report, "_counts", Counter(statuses))
+        object.__setattr__(report, "_columns", columns)
+        object.__setattr__(report, "_start", start)
+        object.__setattr__(report, "_n", n)
+        if len(columns[0]) == n:
+            object.__setattr__(report, "_entries", _entries(
+                range(start, start + n), columns) if entries is None
+                else entries)
         return report
 
+    @property
+    def entries(self) -> tuple[CheckEntry, ...]:
+        try:
+            return self._entries
+        except AttributeError:
+            object.__setattr__(self, "_entries", _entries(
+                range(self._start, self._start + self._n),
+                map(cycle, self._columns)))
+            return self._entries
+
+    # the columns over the whole range, by list repetition
+    _expected, _actual, _statuses = (
+        property(lambda self, i=i: _repeat(self._columns[i], self._n))
+        for i in range(3))
+
     def count(self, status: str) -> int:
-        return self._counts[status]
+        statuses = self._columns[2]
+        whole, rest = divmod(self._n, len(statuses) or 1)
+        return statuses.count(status) * whole + statuses[:rest].count(status)
 
     @property
     def ok_count(self) -> int:
@@ -446,8 +534,26 @@ class CheckReport(Frozen):
         return self.violation_count == 0
 
     def violations(self) -> list[CheckEntry]:
-        return list(compress(self.entries, map(
-            operator.eq, self._statuses, repeat(VIOLATION))))
+        """The violating entries; a periodic report builds one per
+        violating position, at each period's offset."""
+        expected, actual, statuses = self._columns
+        q, n, start = len(statuses), self._n, self._start
+        if q == n:
+            return list(compress(self.entries, map(
+                operator.eq, statuses, repeat(VIOLATION))))
+        bad = list(compress(range(q), map(
+            operator.eq, statuses, repeat(VIOLATION))))
+        if not bad:  # no loop over the periods
+            return []
+        return [CheckEntry(start + k + i, expected[i], actual[i], VIOLATION)
+                for k in range(0, n, q) for i in bad if k + i < n]
+
+
+def _entries(positions: range, columns: Iterable[Iterable]) -> tuple:
+    """A ``CheckEntry`` per position, built from the columns by
+    ``tuple.__new__``: no Python-level call per position."""
+    return tuple(map(tuple.__new__, repeat(CheckEntry),
+                     zip(positions, *columns)))
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
@@ -464,15 +570,18 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     The report is built by C-level passes over the two columns: one
     comparison per position gives its status, one ``index`` scan per None
     marks the uncheckable ones, and each entry is the ``CheckEntry`` tuple
-    built by ``tuple.__new__``, with no Python-level call per position.
+    built by ``tuple.__new__``, with no Python-level call per position.  On
+    a window periodic everywhere the columns cover one period
+    (``_one_period``), and the report repeats them.
 
     A negative head reads its successors (including the very value being
     checked); this is an equality test, never a generation step.
     """
     if a > b:
         raise ValueError("range must satisfy a <= b")
-    expected = o_successors(w, a, b)
-    actual = _column(w, a + 1, b + 1)
+    s, t = _one_period(w, a, b)
+    expected = _successors(w, s, t)
+    actual = _column(w, s + 1, t + 1)
     statuses = list(map((VIOLATION, OK).__getitem__,
                         map(operator.eq, expected, actual)))
     for col in (expected, actual):
@@ -484,9 +593,7 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
                 statuses[i] = UNCHECKABLE
         except ValueError:
             pass
-    entries = tuple(map(tuple.__new__, repeat(CheckEntry),
-                        zip(range(a, b + 1), expected, actual, statuses)))
-    return CheckReport._of(entries, expected, actual, statuses)
+    return CheckReport._of((expected, actual, statuses), a, b - a + 1)
 
 
 # --- generation --------------------------------------------------------------

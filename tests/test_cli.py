@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ultraseq import cli
+from ultraseq import cli, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.errors import UltraseqError, brief, clip
 from ultraseq.families import (
@@ -21,7 +21,7 @@ from ultraseq.families import (
     pi_closed,
     pi_window,
 )
-from ultraseq.seqcore import from_json, to_json
+from ultraseq.seqcore import Periodic, SeqWindow, from_json, to_json
 
 UNDEF = {"kind": "undefined"}
 
@@ -230,6 +230,42 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", str(path),
                            "--range", "0..1")
         assert code == 0 and out.startswith("2 ok, 0 violations")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_a_periodic_document_reads_as_a_dense_report(
+            self, capsys, monkeypatch, tmp_path, fmt, strict):
+        # a window periodic everywhere whose unit does not self-generate,
+        # so every period holds violations; its report repeats one period
+        unit = (3, -1, 2, 0, -2)
+        path = tmp_path / "periodic.json"
+        path.write_text(to_json(SeqWindow(
+            1, unit * 2 + unit[:2], left=Periodic(unit),
+            right=Periodic(unit[2:] + unit[:2]))))
+        argv = ["verify", "--input", str(path), "--range=-13..57",
+                "--format", fmt, *strict]
+        assert seqcore._one_period(from_json(path.read_text()), -13, 57) \
+            == (2, 6)
+        periodic = run(capsys, *argv)
+        monkeypatch.setattr(seqcore, "_one_period", lambda w, a, b: (a, b))
+        dense = run(capsys, *argv)
+        assert periodic == dense and periodic[0] == 1
+        # four violations in each of the 14 whole periods from -13, one in
+        # the rest, and the table's summary line
+        assert dense[1].count("violation") == 57 + (fmt == "table")
+
+    def test_a_million_positions_of_a_tau_window(self, capsys, monkeypatch):
+        # one period is checked and the report counts the rest
+        monkeypatch.delenv("ULTRASEQ_MAX_WINDOW", raising=False)
+        tracemalloc.start()
+        try:
+            result = run(capsys, "verify", "--family", "tau:m=1,P=5,N=1",
+                         "--range=0..999998")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "999999 ok, 0 violations, 0 uncheckable\n", "")
+        assert peak < 1_000_000
 
     def test_family_and_input_are_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--family", "pi:m=1",

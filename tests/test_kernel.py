@@ -11,6 +11,7 @@ import gc
 import pickle
 import sys
 from collections import Counter
+from itertools import accumulate
 from typing import Optional
 
 import pytest
@@ -159,6 +160,46 @@ def tail_extend(w: SeqWindow, steps: int) -> list[int]:
     return vals
 
 
+def dense_successors(w: SeqWindow, a: int, b: int) -> list:
+    """The equation's value at p + 1 for each p in a..b, None where it
+    reads an undefined position: every value the range reads listed once,
+    with its prefix sums, and no period used."""
+    heads = naive_column(lambda p: read_at(w, p), a, b)
+    reach = max((abs(u) for u in heads if u is not None), default=0)
+    s = a - reach
+    vals = naive_column(lambda k: read_at(w, k), s, b + reach + 1)
+    sums = list(accumulate((v or 0 for v in vals), initial=0))
+    holes = list(accumulate((v is None for v in vals), initial=0))
+    out = []
+    for p, u in zip(range(a, b + 1), heads):
+        if u is None:
+            out.append(None)
+            continue
+        x, y = (p - u + 1 - s, p + 1 - s) if u >= 0 else (p - s, p - u - s)
+        out.append(None if holes[y] > holes[x] else abs(u) + sums[y] - sums[x])
+    return out
+
+
+def dense_entries(w: SeqWindow, a: int, b: int) -> list[CheckEntry]:
+    """``dense_successors`` checked against each next value."""
+    out = []
+    for p, e in zip(range(a, b + 1), dense_successors(w, a, b)):
+        actual = naive_column(lambda k: read_at(w, k), p + 1, p + 1)[0]
+        out.append(CheckEntry(p, None, None, "uncheckable")
+                   if e is None or actual is None else
+                   CheckEntry(p, e, actual,
+                              "ok" if e == actual else "violation"))
+    return out
+
+
+def dense_apply_O(w: SeqWindow) -> SeqWindow:
+    """``apply_O`` from ``dense_successors`` over the margin range; a range
+    over the cap is refused before any position is evaluated."""
+    a, b = seqcore._margins(w, abs)
+    seqcore.check_window_len(b - a + 1, "range")
+    return seqcore._assemble(w, dense_successors(w, a, b), a, 1)
+
+
 def naive_check_entry(w: SeqWindow, p: int) -> CheckEntry:
     """The equation at p from one lookup per summand."""
     try:
@@ -299,6 +340,23 @@ head_windows = st.builds(
     left=st.one_of(st.none(), st.builds(Periodic, head_units)),
     right=small_rules,
 )
+
+
+@st.composite
+def everywhere_periodic(draw) -> tuple[SeqWindow, int]:
+    """A window periodic everywhere and its period q, 1 to 8: values within
+    4q of 0, so some units self-generate and most do not, any lo and phase,
+    and a span of 1 to 5q values, often not a multiple of q."""
+    q = draw(st.integers(1, 8))
+    unit = draw(st.lists(st.integers(-4 * q, 4 * q), min_size=q, max_size=q))
+    lo, phase = draw(st.integers(-20, 20)), draw(st.integers(0, q - 1))
+    n = draw(st.integers(1, 5 * q))
+
+    def at(k):
+        return unit[(phase + k - lo) % q]
+    return SeqWindow(lo, map(at, range(lo, lo + n)),
+                     left=Periodic(map(at, range(lo - q, lo))),
+                     right=Periodic(map(at, range(lo + n, lo + n + q)))), q
 
 
 def periodic_windows() -> list[SeqWindow]:
@@ -491,7 +549,6 @@ class TestReportBuild:
             w = pi_window(1, n)
             return python_calls(verify_O_range, w, w.lo, w.hi)
 
-        report_calls(20)  # fills the abc caches of Counter's type checks
         assert report_calls(2000) == report_calls(20)
 
 
@@ -502,7 +559,8 @@ class TestFlatCalls:
     """Clock-free pins: on pi and composite rows, whose heads from index 1
     on reach deep into the left tail, verification and generation make as
     many Python-level calls, G reads included, over 2000 positions as over
-    20."""
+    20; on a tau window, verification makes as many over 10,000 periods as
+    over 10."""
 
     @staticmethod
     def rows(n):
@@ -513,8 +571,18 @@ class TestFlatCalls:
             return [python_calls(verify_O_range, w, w.lo, w.hi)
                     for w in self.rows(n)]
 
-        calls(20)  # fills the abc caches of Counter's type checks
         assert calls(2000) == calls(20)
+
+    def test_verify_O_range_on_a_tau_window(self):
+        # periodic everywhere: one period is checked, whatever the range
+        w = tau_window(TauConfig(2, {6, 9}, {1, 3}), 3)
+        q = w.left.period
+
+        def calls(periods):
+            return python_calls(verify_O_range, w, w.lo - 3,
+                                w.lo - 4 + periods * q)
+
+        assert calls(10_000) == calls(10)
 
     def test_extend_right_by_O(self):
         # each seed ends at index 0, the generation's start
@@ -524,6 +592,69 @@ class TestFlatCalls:
                 for w in self.rows(2)]
 
         assert calls(2000) == calls(20)
+
+
+class TestPeriodicEverywhere:
+    """On a window periodic everywhere, a range longer than the period is
+    computed over one period and repeated, and what is read off it equals a
+    dense oracle; a window periodic only on its sides is checked densely."""
+
+    @staticmethod
+    def check(w: SeqWindow, a: int, b: int, repeated: bool) -> None:
+        assert o_successors(w, a, b) == dense_successors(w, a, b)
+        want = dense_entries(w, a, b)
+        r = verify_O_range(w, a, b)
+        # only a repeated report builds its entries when they are read
+        assert hasattr(r, "_entries") is not repeated
+        for status in ("ok", "violation", "uncheckable", "mystery"):
+            assert r.count(status) == sum(e.status == status for e in want)
+        assert r.violations() == [e for e in want if e.status == "violation"]
+        assert [r._expected, r._actual, r._statuses] == [
+            list(col) for col in zip(*want)][1:]
+        dense = CheckReport(want)
+        assert r == dense and hash(r) == hash(dense) and repr(r) == repr(dense)
+        assert r.entries == tuple(want)
+        with pytest.MonkeyPatch.context() as mp:
+            # three maps of a unit that does not self-generate can pass
+            # the cap; both sides refuse the same range
+            mp.setenv(seqcore.MAX_WINDOW_ENV, "5000")
+            assert outcome(apply_O, w) == outcome(dense_apply_O, w)
+            assert outcome(transform.iterate, apply_O, 3, w) == outcome(
+                transform.iterate, dense_apply_O, 3, w)
+
+    @settings(deadline=None)
+    @given(everywhere_periodic(), st.integers(-40, 40), st.integers(1, 160))
+    def test_matches_a_dense_oracle(self, wq, offset, length):
+        w, q = wq
+        a = w.lo + offset
+        b = a + length - 1
+        s, t = seqcore._one_period(w, a, b)
+        if length > q:  # one period in phase with a, from the span's start
+            assert t - s + 1 == q and (s - a) % q == 0 and w.lo <= s < w.lo + q
+        else:
+            assert (s, t) == (a, b)
+        self.check(w, a, b, length > q)
+
+    @settings(deadline=None)
+    @given(everywhere_periodic(), st.integers(-40, 40), st.integers(1, 160),
+           st.data())
+    def test_a_broken_period_is_checked_densely(self, wq, offset, length,
+                                                data):
+        w, q = wq
+        values = list(w.values)
+        values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
+            st.sampled_from((-2, -1, 1, 2)))
+        broken = [SeqWindow(w.lo, values, left=w.left, right=w.right)]
+        k = data.draw(st.integers(1, q))  # k = q keeps the phase
+        unit = w.right.unit[k:] + w.right.unit[:k]
+        if unit != w.right.unit:
+            broken.append(SeqWindow(w.lo, w.values, left=w.left,
+                                    right=Periodic(unit)))
+        a = w.lo + offset
+        b = a + length - 1
+        for v in broken:
+            assert seqcore._one_period(v, a, b) == (a, b)
+            self.check(v, a, b, False)
 
 
 class TestApplyOKernel:
@@ -835,6 +966,23 @@ class TestOneTailReader:
         assert o_successors(w, 2, 11) == [w.value_at(p) for p in range(3, 13)]
         assert reads == {"builds": 1, "reads": 0}
 
+    def test_o_successors_in_the_tails_of_a_broken_tau_window(self, reads):
+        # one span value changed: not periodic everywhere, so each position
+        # is computed, but a sum wholly in a tail reads that tail's unit
+        w = tau_window(TauConfig(1, {5}, {1}), 3)
+        values = list(w.values)
+        values[7] += 1
+        w = SeqWindow(w.lo, values, left=w.left, right=w.right)
+
+        def g_reads(periods):
+            a, b = w.lo - 6 * periods, w.hi + 6 * periods
+            reads.update(builds=0, reads=0)
+            assert o_successors(w, a, b) == dense_successors(w, a, b)
+            assert reads["builds"] == 1
+            return reads["reads"]
+
+        assert g_reads(200) == g_reads(2)
+
     def test_extend_right_by_O_on_a_pi_seed(self, reads):
         seed = SeqWindow(0, (3,), left=constant(-2))
         out = extend_right_by_O(seed, 12)
@@ -880,6 +1028,29 @@ class TestHeadForm:
                     lambda p: tail_successor(v, p), v.lo - 3, v.hi)
                 assert list(extend_right_by_O(v, 3).values) == \
                     tail_extend(v, 3)
+
+
+#: tail units of period 1 to 8, some values past 2 ** 64, so a head in a
+#: tail sums many whole periods
+tail_units = st.lists(st.one_of(st.integers(-9, 9),
+                                st.integers(-2 ** 70, 2 ** 70)),
+                      min_size=1, max_size=8).map(tuple)
+tail_rules = st.one_of(st.none(), st.builds(Periodic, tail_units))
+
+
+class TestTailForm:
+    """Sums wholly inside one tail, read from the unit's prefix sums,
+    against an oracle that sums the tail one period at a time."""
+
+    @settings(deadline=None)
+    @given(st.builds(SeqWindow, st.integers(-10, 10),
+                     st.lists(st.integers(-8, 8), min_size=1, max_size=10),
+                     left=tail_rules, right=tail_rules),
+           st.integers(0, 40), st.integers(0, 40))
+    def test_o_successors(self, w, before, after):
+        a, b = w.lo - before, w.hi + after
+        assert o_successors(w, a, b) == naive_column(
+            lambda p: tail_successor(w, p), a, b)
 
 
 # --- forward generation ------------------------------------------------------------
