@@ -521,11 +521,16 @@ def build_approx_model(m: int, base_n: int, u_n: int, u_n1: int) -> ApproxModel:
 def _predictions(a: ApproxModel) -> abc.Iterator[Fraction]:
     """P(r) for r = 0, 1, ...: the sum of multiples of phi^r and psi^r, the
     roots of x^2 = xi*x + (2 - xi), through P(0) = u_n and P(1) = u_{n+1}.
-    It obeys P(r+2) = xi*P(r+1) + (2 - xi)*P(r), so each value is exact."""
-    p, q = Fraction(a.u_n), Fraction(a.u_n1)
+    It obeys P(r+2) = xi*P(r+1) + (2 - xi)*P(r), so each value is exact.
+    With xi = A/b and 2 - xi = B/b, P(r) = N_r / b^r for the integers N_0 =
+    u_n, N_1 = b*u_{n+1} and N_{r+2} = A*N_{r+1} + B*b*N_r: no step makes a
+    ``Fraction``, only each value yielded."""
+    A, b = a.xi.numerator, a.xi.denominator
+    Bb = (2 * b - A) * b
+    p, q, power = a.u_n, b * a.u_n1, 1
     while True:
-        yield p
-        p, q = q, a.xi * q + (2 - a.xi) * p
+        yield Fraction(p, power)
+        p, q, power = q, A * q + Bb * p, power * b
 
 
 def approx_predict(a: ApproxModel, r: int) -> Fraction:

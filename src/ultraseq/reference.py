@@ -21,12 +21,14 @@ def hofstadter_q_table(n: int) -> list[int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     table = [0, 1, 1]
+    before, last = 1, 1  # the values at k - 2 and k - 1
     for k in range(3, n + 1):
-        i = k - table[k - 1]
-        j = k - table[k - 2]
+        i = k - last
+        j = k - before
         if i < 1 or j < 1:
             raise IndexUnderflow(i if i < 1 else j)
-        table.append(table[i] + table[j])
+        before, last = last, table[i] + table[j]
+        table.append(last)
     return table
 
 
@@ -39,11 +41,12 @@ def conway_table(n: int) -> list[int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     table = [0, 1, 1]
+    c = 1  # the value at k - 1
     for k in range(3, n + 1):
-        c = table[k - 1]
         if k - c < 1:
             raise IndexUnderflow(k - c)
-        table.append(table[c] + table[k - c])
+        c = table[c] + table[k - c]
+        table.append(c)
     return table
 
 

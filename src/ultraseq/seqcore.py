@@ -165,7 +165,8 @@ class SeqWindow(Frozen):
     @property
     def _prefix(self) -> list[int]:
         """Prefix sums of ``values``, built on first use into the ``_sums``
-        slot; a cache, outside the value."""
+        slot, unless ``extend_right_by_O`` filled it; a cache, outside the
+        value."""
         try:
             return self._sums
         except AttributeError:
@@ -380,18 +381,22 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
 
 def _successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
     """``o_successors`` at every position of a..b, by one loop over the
-    summand ranges [t - c, t), c = |u|.  One that ends in the span reads its
-    tail values from the head.  One wholly in a tail, its head a value of
-    that tail's unit, reads the unit's prefix sums as G does: with P the
-    period, T the total, F(x) the tail's sum over offsets [0, x) from its
-    end at the span and Q, R = divmod(c, P), the sum over offsets [x - c, x)
-    is Q * T + F(x) - F(x - R).  Any other range crosses the span's right
-    end and is G(t) - G(t - c)."""
+    summand ranges [t - c, t), c = |u|.  One that ends in the span, i = t -
+    lo values past lo, reads its tail values from the head; on a constant
+    tail a positive head stored in the span (i >= 1) reads the sum before
+    it, c * (P + T + 1) + prefix[i - 1] - i * T, one big-int operation on a
+    -2 tail.  One wholly in a tail, its head a value of that tail's unit,
+    reads the unit's prefix sums as G does: with P the period, T the total,
+    F(x) the tail's sum over offsets [0, x) from its end at the span and Q,
+    R = divmod(c, P), the sum over offsets [x - c, x) is Q * T + F(x) -
+    F(x - R).  Any other range crosses the span's right end and is G(t) -
+    G(t - c)."""
     lo, n, prefix, left, right = w.lo, len(w.values), w._prefix, w.left, w.right
     G = _signed_prefix(lo, prefix, left, right)
     if left is not None:  # the period, the unit's prefix sums and total
         P, pre, T = left.period, left._prefix, left._prefix[-1]
         PT = P + T
+        K = PT + 1  # a constant tail's head coefficient, P + T + 1
     if right is not None:
         RP, rpre, RT = right.period, right._prefix, right._prefix[-1]
     out: list[int | None] = []
@@ -410,12 +415,16 @@ def _successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
                 append(prefix[i] - prefix[i - c] + c)
             elif left is None:
                 append(None)
-            elif P == 1:
-                append(c * PT + prefix[i] - i * T)
-            else:
+            elif P > 1:
                 Q, R = divmod(c, P)  # c - i = (Q - q) * P - r
                 q, r = divmod(i - R, P)
                 append(Q * PT + prefix[i] + (R - q * T - pre[r]))
+            elif u < 0 or not i:  # a head in the left tail, or at lo - 1
+                append(c * PT + prefix[i] - i * T)
+            elif K:  # a head in the span: the sum before it, prefix[i - 1]
+                append(u * K + prefix[i - 1] - i * T)
+            else:
+                append(prefix[i - 1] - i * T)
             continue
         if i < 0:  # wholly in the left tail, offsets from lo
             if left is None:
@@ -609,7 +618,11 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     checked against the equation here (that is the verifier's job).
 
     A head h > 0 sums [pos - h, pos) as ``o_successors`` sums a range that
-    ends in the span, with the running total as its end; 0 and -1 give 0.
+    ends in the span; 0 and -1 give 0.  Heads that reach the left tail
+    (h > i, with i values stored before pos) are generated by runs, one
+    loop per tail kind, until a head falls inside the span, a value is
+    supplied or the steps end; every other step goes through one general
+    step.  The new window keeps the prefix sums in its ``_sums`` cache.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -620,30 +633,62 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     if left is not None:  # the period, the unit's prefix sums and total
         P, pre, T = left.period, left._prefix, left._prefix[-1]
         PT = P + T
+        K = PT + 1  # a constant tail's head coefficient, P + T + 1
     vals, prefix = list(w.values), list(accumulate(w.values, initial=0))
     head, total = vals[-1], prefix[-1]
-    for i, pos in enumerate(range(w.hi + 1, w.hi + 1 + steps), len(vals)):
-        if supplied is not None and pos in supplied:
-            (head,) = _exact((supplied[pos],), "supplied value")
-        elif head > 0:  # the equation at pos - 1, i values in the span
-            if head <= i:
-                head += total - prefix[i - head]
-            elif left is None:
-                raise OutOfDomain(pos - head)
-            elif P == 1:
-                head = head * PT + total - i * T
-            else:
-                Q, R = divmod(head, P)
-                q, r = divmod(i - R, P)
-                head = Q * PT + total + (R - q * T - pre[r])
+    i, end = len(vals), len(vals) + steps  # i: the index of the next value
+    # the indices of the supplied values in order, then the end
+    stops = [k - lo for k in filter(supplied.__contains__, range(
+        lo + i, lo + end))] if supplied else []
+    stops = iter(stops + [end])
+    stop = next(stops)
+    append, append_sum = vals.append, prefix.append
+    while i < end:
+        if i < stop and head > i and left is not None:
+            # a run of heads that reach the left tail, their sums read from
+            # the head as ``_successors`` reads them
+            if P > 1:
+                while i < stop and head > i:
+                    Q, R = divmod(head, P)
+                    q, r = divmod(i - R, P)
+                    head = Q * PT + total + (R - q * T - pre[r])
+                    total += head
+                    append(head)
+                    append_sum(total)
+                    i += 1
+            elif K:  # from the sum before the head, prefix[i - 1]
+                while i < stop and head > i:
+                    head = head * K + prefix[i - 1] - i * T
+                    total += head
+                    append(head)
+                    append_sum(total)
+                    i += 1
+            else:  # T = -2, as on pi rows: the head's coefficient is 0
+                while i < stop and head > i:
+                    head = prefix[i - 1] - i * T
+                    total += head
+                    append(head)
+                    append_sum(total)
+                    i += 1
+            continue
+        if i == stop:
+            (head,) = _exact((supplied[lo + i],), "supplied value")
+            stop = next(stops)
+        elif head > 0:  # the equation at lo + i - 1
+            if head > i:  # the left side is undefined
+                raise OutOfDomain(lo + i - head)
+            head += total - prefix[i - head]
         elif head >= -1:
             head = 0
         else:
-            raise NonDeterministic(pos - 1, head)
-        vals.append(head)
+            raise NonDeterministic(lo + i - 1, head)
         total += head
-        prefix.append(total)
-    return SeqWindow(lo, vals, left=w.left, right=None)
+        append(head)
+        append_sum(total)
+        i += 1
+    out = object.__new__(SeqWindow)._fill(lo, vals, left, None)
+    object.__setattr__(out, "_sums", prefix)
+    return out
 
 
 # --- differences and sums ----------------------------------------------------

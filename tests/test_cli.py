@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, and file round trips."""
 import argparse
+import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -829,3 +831,52 @@ class TestDispatch:
             passes.clear()
             assert dispatch([name, *argv]) == 0, name
             assert passes == [f"ultraseq {name}"]
+
+
+#: the commands of the benchmark's ``grow`` workload, each over n rows
+GROW_COMMANDS = [
+    "gen --family pi:m=1 --range 0..{n} --format csv",
+    "gen --family composite:left=tau:m=1,P=5,N=1,seed=1 --range 0..{n} "
+    "--format json",
+    "diff --family pi:m=1 --range 0..{n} --format csv",
+    "export --family pi:m=1 --range 0..{n} --format json",
+    "closed-form --family pi:m=1 --range 0..{n} --format csv",
+    "verify --family pi:m=1 --range 0..{n}",
+    "reference --sequence q --count {n} --format csv",
+]
+
+
+def dispatch_calls(argv: list[str]) -> int:
+    """The Python-level calls ``dispatch(argv)`` makes, its output kept
+    off stdout; with the collector off, which could finalize some other
+    code's generator (a call to the profiler) in the middle."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            code = dispatch(argv)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+    assert code == 0, argv
+    return calls
+
+
+class TestCommandFlatCalls:
+    """Clock-free scaling pins: after one warm-up, each command makes as
+    many Python-level calls over 2000 rows as over 200, so no bytecode
+    call runs per row on its way from the kernels to the text."""
+
+    @pytest.mark.parametrize("command", GROW_COMMANDS)
+    def test_calls_do_not_grow_with_the_rows(self, command):
+        def calls(n):
+            return dispatch_calls(command.format(n=n).split())
+
+        calls(200)
+        assert calls(2000) == calls(200)

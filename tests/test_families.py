@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ultraseq import families
+from ultraseq import families, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.errors import (
     DegenerateBase,
@@ -144,6 +144,26 @@ class TestPiFamily:
     def test_the_check_leaves_the_prefix_sums_cached(self):
         w = pi_window(2, 30)
         assert w._sums == [sum(w.values[:n]) for n in range(32)]
+
+    def test_the_check_reads_the_generators_prefix_sums(self, monkeypatch):
+        # the row keeps the prefix sums its generation built, so the check
+        # builds none: seqcore.accumulate runs as often, over inputs as
+        # long, for 20 values as for 2000
+        accumulate, lengths = seqcore.accumulate, []
+
+        def counted(values, *args, **kwargs):
+            lengths.append(len(values))
+            return accumulate(values, *args, **kwargs)
+
+        monkeypatch.setattr(seqcore, "accumulate", counted)
+
+        def accumulated(n):
+            lengths.clear()
+            w = pi_window(3, n)
+            assert w._sums == list(accumulate(w.values, initial=0))
+            return list(lengths)
+
+        assert accumulated(2000) == accumulated(20)
 
     def test_validation(self):
         with pytest.raises(ValueError):

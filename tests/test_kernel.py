@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultraseq import seqcore, transform
 from ultraseq.errors import (
@@ -148,15 +148,21 @@ def tail_successor(w: SeqWindow, p: int) -> int:
     return total + naive_range_sum(w, max(s, w.lo), min(t, w.hi + 1) - 1)
 
 
-def tail_extend(w: SeqWindow, steps: int) -> list[int]:
-    """Forward generation with ``tail_successor`` on the window so far."""
+def tail_extend(w: SeqWindow, steps: int,
+                supplied: Optional[dict] = None) -> list[int]:
+    """Forward generation with ``tail_successor`` on the window so far; a
+    value ``supplied`` for a position is taken whatever the head before
+    it."""
     vals = list(w.values)
     for _ in range(steps):
-        u = vals[-1]
-        if u <= -2:
-            raise NonDeterministic(w.lo + len(vals) - 1, u)
-        vals.append(tail_successor(SeqWindow(w.lo, vals, left=w.left),
-                                   w.lo + len(vals) - 1) if u > 0 else 0)
+        p, u = w.lo + len(vals) - 1, vals[-1]
+        if supplied and p + 1 in supplied:
+            vals.append(supplied[p + 1])
+        elif u <= -2:
+            raise NonDeterministic(p, u)
+        else:
+            vals.append(tail_successor(SeqWindow(w.lo, vals, left=w.left), p)
+                        if u > 0 else 0)
     return vals
 
 
@@ -458,6 +464,9 @@ class TestSuccessor:
                     (w, a, b)
 
     @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
+    # a positive head at lo - 1 over a constant tail: its sum has no value
+    # of the span before the head
+    @example(SeqWindow(0, (1, 2), left=constant(2)), -1, 3)
     def test_report_matches_per_point_oracle(self, w, a, length):
         b = a + length - 1
         want = [naive_check_entry(w, p) for p in range(a, b + 1)]
@@ -1095,3 +1104,54 @@ class TestExtendKernel:
         with pytest.raises(OutOfDomain) as exc:
             extend_right_by_O(SeqWindow(5, (1, 2, 4)), 1)
         assert exc.value.index == 4
+
+
+#: small and large values, for units, seeds and supplied values
+run_values = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+#: constant (drawn often) and periodic left units, some undefined
+run_rules = st.one_of(
+    st.none(), st.builds(Periodic, st.tuples(run_values)),
+    st.builds(Periodic, st.lists(run_values, min_size=2, max_size=5)))
+#: seeds whose last head often reaches the left tail
+run_seeds = st.builds(SeqWindow, st.integers(-5, 5),
+                      st.lists(st.integers(-3, 12), min_size=1, max_size=4),
+                      left=run_rules)
+
+
+class TestRuns:
+    """Heads that reach the left tail are generated by runs, one loop per
+    tail kind; a run ends where a head falls inside the span, to 0 or -1,
+    or to -2 or below, and where a value is supplied.  Each seed below
+    ends a run in one of those ways; the property draws constant and
+    periodic units with values up to 2 ** 70."""
+
+    @settings(deadline=None)
+    @given(run_seeds, st.integers(1, 10),
+           st.dictionaries(st.integers(1, 10), run_values, max_size=3))
+    @example(SeqWindow(0, (2,), left=constant(-3)), 4, {})  # into the span
+    @example(SeqWindow(0, (3,), left=constant(-3)), 4, {})  # to 0
+    @example(SeqWindow(0, (4,), left=constant(-3)), 4, {})  # to -1
+    @example(SeqWindow(0, (5,), left=constant(-3)), 4, {})  # to -2
+    @example(SeqWindow(0, (5,), left=constant(-3)), 4, {2: 7})  # supplied
+    @example(SeqWindow(0, (2,), left=Periodic((-6, -3))), 5, {})  # span
+    @example(SeqWindow(0, (3,), left=Periodic((-3, -4))), 4, {})  # to -1
+    @example(SeqWindow(0, (5,), left=Periodic((-3, -4))), 4, {})  # to -4
+    # a supplied successor of -4, then a run that falls below -2
+    @example(SeqWindow(0, (5,), left=Periodic((-3, -4))), 4, {2: 2 ** 70})
+    @example(SeqWindow(0, (3,), left=constant(-2)), 8, {4: 1})  # mid-run
+    # a run through 9 falls below -2, and its successor is supplied
+    @example(SeqWindow(0, (2,), left=Periodic((-2 ** 70, 5))), 3, {3: 4})
+    @example(SeqWindow(0, (3,)), 2, {})  # an undefined left side
+    def test_matches_the_oracles(self, w, steps, offsets):
+        supplied = {w.hi + k: v for k, v in offsets.items()}
+
+        def generated(w, steps, supplied):
+            out = extend_right_by_O(w, steps, supplied)
+            # the generator's prefix sums, handed over with the row
+            assert out._sums == list(accumulate(out.values, initial=0))
+            return list(out.values)
+
+        got = located_outcome(generated, w, steps, supplied)
+        assert got == located_outcome(tail_extend, w, steps, supplied)
+        if type(got) is list and max(map(abs, got)) < 1000:
+            assert got == naive_extend(w, steps, supplied)
