@@ -214,14 +214,16 @@ _ENUMERATION = '{\n  "count": %d,\n  "configs": [\n    "%s"\n  ]\n}'
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
-    descriptors = tau_enumerate(args.m, canonical=args.canonical).descriptors
+    placements = tau_enumerate(args.m, canonical=args.canonical)
+    # one descriptor a line, each holding commas but no quote or newline
+    lines = placements.text
     if args.format == "json":
-        text = _ENUMERATION % (len(descriptors), '",\n    "'.join(descriptors))
+        text = _ENUMERATION % (len(placements),
+                               lines.replace("\n", '",\n    "'))
     elif args.format == "csv":
-        # a descriptor holds commas but no quote
-        text = "descriptor\n" + '"%s"\n' * len(descriptors) % descriptors
+        text = 'descriptor\n"' + lines.replace("\n", '"\n"') + '"\n'
     else:
-        text = "\n".join(descriptors) + f"\n{len(descriptors)} configurations\n"
+        text = f"{lines}\n{len(placements)} configurations\n"
     return text, 0
 
 

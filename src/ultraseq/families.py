@@ -248,14 +248,10 @@ def pi_star_closed_row(m: int, lo: int, hi: int) -> list[int]:
 
 
 def pi_star_even_closed(m: int, n: int) -> int:
-    """Closed form for the even-index values, asserted against construction."""
+    """Closed form for the even-index values: 2^(n-1)*(m+10) - 6 at 2n."""
     if m < 1 or 2 * n < 4:
         raise ValueError("require m >= 1 and 2n >= 4")
-    value = pi_star_closed_row(m, 2 * n, 2 * n)[0]
-    if _pi_star_right(m, 2 * n)[2 * n] != value:
-        raise IdentityViolation(
-            f"even-index closed form failed at m={m}, n={n}")
-    return value
+    return pi_star_closed_row(m, 2 * n, 2 * n)[0]
 
 
 # --- the tau family -----------------------------------------------------------
@@ -317,20 +313,29 @@ def tau_window(c: TauConfig | OPowerConfig, periods: int = 1) -> SeqWindow:
 
 
 class Placements(abc.Sequence):
-    """Read-only tau placements, held as their ``descriptors``; each item is
+    """Read-only tau placements, held as ``text``: their descriptors, one a
+    line.  ``descriptors`` splits the text when first read; each item is
     the validated ``TauConfig`` its descriptor parses to, built when read."""
 
-    __slots__ = ("descriptors",)
+    __slots__ = ("text", "_len", "_descriptors")
 
-    def __init__(self, descriptors):
-        self.descriptors: tuple[str, ...] = tuple(descriptors)
+    def __init__(self, text: str, count: int):
+        self.text, self._len, self._descriptors = text, count, None
+
+    @property
+    def descriptors(self) -> tuple[str, ...]:
+        if self._descriptors is None:
+            lines = self.text.split("\n") if self._len else ()
+            self._descriptors = tuple(lines)
+        return self._descriptors
 
     def __len__(self) -> int:
-        return len(self.descriptors)
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Placements(self.descriptors[i])
+            part = self.descriptors[i]
+            return Placements("\n".join(part), len(part))
         return parse_family(self.descriptors[i]).config
 
     def __iter__(self):
@@ -357,45 +362,51 @@ def _halves(m: int, first: int) -> list[tuple]:
     no two placements adjacent and at most m of each sign.  Each half is
     (positives, negatives, starts on a placement, ends on one, P, N), with
     P and N its slots of each sign as ``;``-joined text."""
-    halves = [(0, 0, False, False, (), ())]
+    halves = [(0, 0, False, False, "", "")]
     for slot in range(first, first + 2 * m + 1):
         opening, name = slot == first, str(slot)
+        after = ";" + name
         grown = []
         for pos, neg, starts, ends, p, n in halves:
             if not ends and neg < m:
                 grown.append((pos, neg + 1, starts or opening, True,
-                              p, n + (name,)))
+                              p, n + after if neg else name))
             grown.append((pos, neg, starts, False, p, n))
             if not ends and pos < m:
                 grown.append((pos + 1, neg, starts or opening, True,
-                              p + (name,), n))
+                              p + after if pos else name, n))
         halves = grown
-    return [(*h[:4], ";".join(h[4]), ";".join(h[5])) for h in halves]
+    return halves
 
 
-def _plain_descriptors(m: int) -> list[str]:
-    """Every placement, in unit order, by joining a left half (slots
-    1..2m+1) to each right half that completes its counts and places
-    nothing next to it, at the join or across the wrap.  The left half is
+def _plain_descriptors(m: int) -> str:
+    """Every placement, in unit order, one a line, by joining a left half
+    (slots 1..2m+1) to each right half that completes its counts and
+    places nothing next to it, at the join or across the wrap.  The right
+    halves each left half accepts are one template, "\\0P\\1N" a line, and
+    the left half fills it with two ``replace`` calls.  The left half is
     the more significant, so taking the lefts in order and each one's
-    rights in order writes the units in order, at one f-string each."""
-    accepting = {}  # (positives, negatives, left starts, left ends) -> [(P, N)]
+    rights in order writes the units in order."""
+    accepting = {}  # (positives, negatives, left starts, left ends) -> lines
     for pos, neg, starts, ends, p, n in _halves(m, 2 * m + 2):
+        piece = f"\0{p}\1{n}"
         # a right half that ends on a placement takes only lefts that do not
         # start on one (the wrap), and one that starts on a placement only
         # lefts that do not end on one (the join)
         for left_starts in (False,) if ends else (False, True):
             for left_ends in (False,) if starts else (False, True):
                 accepting.setdefault((pos, neg, left_starts, left_ends),
-                                     []).append((p, n))
-    out = []
+                                     []).append(piece)
+    templates = {key: "\n".join(pieces) for key, pieces in accepting.items()}
+    blocks = []
     for pos, neg, starts, ends, p, n in _halves(m, 1):
-        rights = accepting.get((m - pos, m - neg, starts, ends), ())
-        # a ';' only between two nonempty sides
-        head = f"tau:m={m},P={p}{';' if 0 < pos < m else ''}"
-        mid = f",N={n}{';' if 0 < neg < m else ''}"
-        out += [f"{head}{rp}{mid}{rn}" for rp, rn in rights]
-    return out
+        template = templates.get((m - pos, m - neg, starts, ends))
+        if template:
+            # a ';' only between two nonempty sides
+            head = f"tau:m={m},P={p}{';' if 0 < pos < m else ''}"
+            mid = f",N={n}{';' if 0 < neg < m else ''}"
+            blocks.append(template.replace("\0", head).replace("\1", mid))
+    return "\n".join(blocks)
 
 
 #: a slot read as one token, its gap of -2s then the next slot's sign, as a
@@ -419,6 +430,7 @@ def _canonical_descriptors(m: int) -> list[str]:
     "-" token: one ``min`` over m slices of the doubled tokens.
     """
     n = 2 * m
+    words = list(combinations(range(n), m))
     classes = set()
     for d in range(m + 1):
         gaps = [1] * n  # two more -2s, in gaps n-1-d and n-1
@@ -426,7 +438,7 @@ def _canonical_descriptors(m: int) -> list[str]:
         gaps[n - 1] += 1
         minus = [_MINUS_TOKEN[g] for g in gaps]
         plus = [_PLUS_TOKEN[g] for g in gaps]
-        for negs in combinations(range(n), m):
+        for negs in words:
             word = plus[:]
             for i in negs:
                 word[i] = minus[i]
@@ -450,18 +462,23 @@ def tau_enumerate(m: int, canonical: bool = False) -> Placements:
     """All valid placements, sorted by unit; with ``canonical``, one
     representative per rotation class, the least rotation of its unit.
 
-    Plain placements join precomputed half units (``_plain_descriptors``),
-    so after O(halves) set-up each costs one string join; ``canonical``
-    builds each rotation class from its gap pattern and sign word
-    (``_canonical_descriptors``), with no search.  Each placement is
-    written as its descriptor once; ``TauConfig`` objects are built only
-    when items of the returned ``Placements`` are read.
+    Plain placements are written as text (``_plain_descriptors``): each
+    left half fills a template of the right halves it accepts with two
+    ``replace`` calls, so after O(halves) set-up the placements cost only
+    C-level copying.  ``canonical`` builds each rotation class from its
+    gap pattern and sign word (``_canonical_descriptors``), with no search,
+    and joins the descriptors.  The returned ``Placements`` holds the text
+    and its count; it splits the text only when its descriptors are read,
+    and builds ``TauConfig`` objects only when its items are read.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_enumeration_size(m, canonical)
-    return Placements(_canonical_descriptors(m) if canonical
-                      else _plain_descriptors(m))
+    if canonical:
+        descriptors = _canonical_descriptors(m)
+        return Placements("\n".join(descriptors), len(descriptors))
+    return Placements(_plain_descriptors(m),
+                      (2 * m + 1) ** 2 * math.comb(2 * m, m))
 
 
 # --- the omega sequence ---------------------------------------------------------

@@ -870,8 +870,9 @@ def dispatch_calls(argv: list[str]) -> int:
 
 class TestCommandFlatCalls:
     """Clock-free scaling pins: after one warm-up, each command makes as
-    many Python-level calls over 2000 rows as over 200, so no bytecode
-    call runs per row on its way from the kernels to the text."""
+    many Python-level calls over 2000 rows as over 200, and plain
+    ``enumerate`` as many over 5670 placements as over 150, so no bytecode
+    call runs per row or placement on its way to the text."""
 
     @pytest.mark.parametrize("command", GROW_COMMANDS)
     def test_calls_do_not_grow_with_the_rows(self, command):
@@ -880,3 +881,13 @@ class TestCommandFlatCalls:
 
         calls(200)
         assert calls(2000) == calls(200)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_enumerate_calls_do_not_grow_with_the_placements(self, fmt):
+        # plain only: --canonical makes one call per candidate class
+        def calls(m):
+            return dispatch_calls(["enumerate", "--m", str(m),
+                                   "--format", fmt])
+
+        calls(2)
+        assert calls(4) == calls(2)

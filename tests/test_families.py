@@ -236,6 +236,12 @@ class TestPiStarFamily:
                     assert pi_star_closed_row(m, lo, hi) == \
                         right[lo:hi + 1], (m, lo, hi)
 
+    def test_even_closed_form_matches_construction(self):
+        for m in range(1, 8):
+            for n in range(2, 101):
+                assert pi_star_even_closed(m, n) == \
+                    families._pi_star_right(m, 2 * n)[2 * n], (m, n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pi_star_window(1, 2)
@@ -421,6 +427,25 @@ class TestTauFamily:
         assert capsys.readouterr().out == expected
         with pytest.raises(RuntimeError):
             tau_enumerate(1)[0]
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_cli_never_splits_the_text(self, capsys, monkeypatch, canonical,
+                                       fmt):
+        argv = ["enumerate", "--m", "4", "--format", fmt]
+        argv += ["--canonical"] * canonical
+        assert dispatch(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(self):
+            raise RuntimeError("the placements were split")
+
+        monkeypatch.setattr(Placements, "descriptors", property(refuse))
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert len(tau_enumerate(4, canonical)) == (318 if canonical else 5670)
+        with pytest.raises(RuntimeError):
+            tau_enumerate(1, canonical)[0]
 
     def test_huge_m_is_refused_with_small_binomials(self, monkeypatch):
         monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
