@@ -171,17 +171,21 @@ def _cmd_verify(args) -> tuple[str, int]:
     lo, hi = parse_range(args.range_)
     w = _load(args, (lo, hi), "verify")
     report = seqcore.verify_O_range(w, lo, hi)
+    ok, violations, uncheckable = map(report.count, (
+        seqcore.OK, seqcore.VIOLATION, seqcore.UNCHECKABLE))
     if args.format == "table":
-        bad = report.violations()
+        # the violations' position, expected and actual columns, or three
+        # empty ones: a clean report writes its summary alone
+        columns = (tuple(zip(*report.violations()))[:3] if violations
+                   else ((),) * 3)
         text = seqcore.int_rows(
-            [[e[i] for e in bad] for i in range(3)], _VIOLATION,
-            f"{report.ok_count} ok, {report.violation_count} violations, "
-            f"{report.uncheckable_count} uncheckable\n")
+            columns, _VIOLATION,
+            f"{ok} ok, {violations} violations, {uncheckable} uncheckable\n")
     else:
         text = seqcore.records(args.format, (range(lo, hi + 1),
                                              report._expected, report._actual),
                                _VERIFY_CELLS, report._statuses)
-    failed = report.violation_count or (args.strict and report.uncheckable_count)
+    failed = violations or (args.strict and uncheckable)
     return text, 1 if failed else 0
 
 

@@ -291,10 +291,15 @@ class TauConfig(Frozen):
         return 4 * self.m + 2
 
     def unit(self) -> tuple[int, ...]:
-        """One-period values at positions 1..4m+2."""
+        """One-period values at positions 1..4m+2: -2, with +(4m+2) at each
+        positive placement and -(4m+2) at each negative one."""
         amp = self.period
-        return tuple(amp if j in self.pos else -amp if j in self.neg else -2
-                     for j in range(1, amp + 1))
+        unit = [-2] * amp
+        for j in self.pos:
+            unit[j - 1] = amp
+        for j in self.neg:
+            unit[j - 1] = -amp
+        return tuple(unit)
 
     def descriptor(self) -> str:
         p = ";".join(str(v) for v in sorted(self.pos))
@@ -304,12 +309,14 @@ class TauConfig(Frozen):
 
 def tau_window(c: TauConfig | OPowerConfig, periods: int = 1) -> SeqWindow:
     """``periods`` copies of the config's unit from index 1, continued
-    periodically on both sides."""
+    periodically on both sides.  The config's unit is ints already, so the
+    one ``Periodic`` both sides share and the span are built without a
+    second check of its values (``Periodic._fill``, ``SeqWindow._fill``)."""
     if periods < 1:
         raise ValueError("periods must be >= 1")
     unit = c.unit()
-    return SeqWindow(1, unit * periods,
-                     left=Periodic(unit), right=Periodic(unit))
+    rule = object.__new__(Periodic)._fill(unit)
+    return object.__new__(SeqWindow)._fill(1, unit * periods, rule, rule)
 
 
 class Placements(abc.Sequence):
@@ -598,17 +605,19 @@ class OPowerConfig(Frozen):
         if len(self.placement) != self.r:
             raise InvalidConfig("placement must have length "
                                 f"{brief(self.r)}")
-        if any(tok not in ("+", "-", "0") for tok in self.placement):
+        if not all(map(("+", "-", "0").__contains__, self.placement)):
             raise InvalidConfig("placement tokens must be '+', '-' or '0'")
-        if sum(self.unit()) != -(self.r + 1):
+        total = sum(self.unit())
+        if total != -(self.r + 1):
             raise InvalidConfig(
-                f"one period must sum to {-(self.r + 1)}, got "
-                f"{sum(self.unit())}")
+                f"one period must sum to {-(self.r + 1)}, got {total}")
 
     def unit(self) -> tuple[int, ...]:
+        """One-period values: r+1 at each '+', -(r+1) at each '-', 0 at
+        each '0'."""
         amp = self.r + 1
-        return tuple(amp if t == "+" else -amp if t == "-" else 0
-                     for t in self.placement)
+        return tuple(map({"+": amp, "-": -amp, "0": 0}.__getitem__,
+                         self.placement))
 
     def descriptor(self) -> str:
         return f"opower:r={self.r},unit={','.join(self.placement)}"
@@ -638,7 +647,7 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(";")]
+    return list(map(int, text.split(";")))
 
 
 def _body(kind: str, text: str) -> str:

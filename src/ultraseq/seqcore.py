@@ -100,17 +100,28 @@ class Frozen:
 
 
 class Periodic(Frozen):
-    """Periodic extension rule; a constant tail is a unit of length 1."""
+    """Periodic extension rule; a constant tail is a unit of length 1.
+
+    The constructor checks each value of ``unit`` (``_exact``); a caller
+    whose values are already ints, as the document reader's and the tau
+    and opower configs' are, builds the rule by ``_fill`` without that
+    second pass.  A rule is immutable, so both sides of a window may share
+    one."""
 
     __slots__ = ("unit", "_prefix")  # _prefix: the unit's prefix sums
     _fields = ("unit",)
 
     def __init__(self, unit: Iterable[int]):
-        unit = _exact(unit, "periodic unit")
-        if not unit:
+        self._fill(_exact(unit, "periodic unit"))
+
+    def _fill(self, ints: Iterable) -> Periodic:
+        """``self`` over ``ints``, which must be ints: no second pass."""
+        ints = tuple(ints)
+        if not ints:
             raise ValueError("periodic unit must be nonempty")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_prefix", tuple(accumulate(unit, initial=0)))
+        object.__setattr__(self, "unit", ints)
+        object.__setattr__(self, "_prefix", tuple(accumulate(ints, initial=0)))
+        return self
 
     @property
     def period(self) -> int:
@@ -150,6 +161,7 @@ class SeqWindow(Frozen):
         object.__setattr__(self, "values", ints)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_sums", None)
         return self
 
     @property
@@ -167,12 +179,10 @@ class SeqWindow(Frozen):
         """Prefix sums of ``values``, built on first use into the ``_sums``
         slot, unless ``extend_right_by_O`` filled it; a cache, outside the
         value."""
-        try:
-            return self._sums
-        except AttributeError:
+        if self._sums is None:
             object.__setattr__(self, "_sums",
                                list(accumulate(self.values, initial=0)))
-            return self._sums
+        return self._sums
 
     def slice(self, a: int, b: int) -> list[int]:
         """Values at positions a..b inclusive, ``_column``'s list.  A range
@@ -544,7 +554,8 @@ class CheckReport(Frozen):
 
     def violations(self) -> list[CheckEntry]:
         """The violating entries; a periodic report builds one per
-        violating position, at each period's offset."""
+        violating position, at each period's offset, by ``tuple.__new__``:
+        no Python-level call per entry."""
         expected, actual, statuses = self._columns
         q, n, start = len(statuses), self._n, self._start
         if q == n:
@@ -554,7 +565,8 @@ class CheckReport(Frozen):
             operator.eq, statuses, repeat(VIOLATION))))
         if not bad:  # no loop over the periods
             return []
-        return [CheckEntry(start + k + i, expected[i], actual[i], VIOLATION)
+        return [tuple.__new__(CheckEntry, (start + k + i, expected[i],
+                                           actual[i], VIOLATION))
                 for k in range(0, n, q) for i in bad if k + i < n]
 
 
@@ -577,11 +589,12 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     uncheckable; a range over the cap is refused before anything is built.
 
     The report is built by C-level passes over the two columns: one
-    comparison per position gives its status, one ``index`` scan per None
-    marks the uncheckable ones, and each entry is the ``CheckEntry`` tuple
-    built by ``tuple.__new__``, with no Python-level call per position.  On
-    a window periodic everywhere the columns cover one period
-    (``_one_period``), and the report repeats them.
+    comparison per position gives its status, ``count`` finds how many None
+    each column holds and one ``index`` scan per None marks the uncheckable
+    ones, so a column without None raises nothing, and each entry is the
+    ``CheckEntry`` tuple built by ``tuple.__new__``, with no Python-level
+    call per position.  On a window periodic everywhere the columns cover
+    one period (``_one_period``), and the report repeats them.
 
     A negative head reads its successors (including the very value being
     checked); this is an equality test, never a generation step.
@@ -595,13 +608,10 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
                         map(operator.eq, expected, actual)))
     for col in (expected, actual):
         i = -1
-        try:
-            while True:
-                i = col.index(None, i + 1)
-                expected[i] = actual[i] = None
-                statuses[i] = UNCHECKABLE
-        except ValueError:
-            pass
+        for _ in range(col.count(None)):
+            i = col.index(None, i + 1)
+            expected[i] = actual[i] = None
+            statuses[i] = UNCHECKABLE
     return CheckReport._of((expected, actual, statuses), a, b - a + 1)
 
 
@@ -879,7 +889,7 @@ def _decimals(items: list, what: str) -> Iterator[int]:
         text = "".join(items)
     except TypeError:  # JSON integers among the strings
         text = "".join(map(str, items))
-    if not text.isascii() or any(c in text for c in _NOT_DECIMAL):
+    if not text.isascii() or any(map(text.__contains__, _NOT_DECIMAL)):
         raise ValueError(f"{what} must be decimal integers: ASCII digits "
                          "after an optional '-'")
     return map(int, items)
@@ -890,7 +900,8 @@ def _rule_from_json(d: dict) -> ExtRule:
     if kind == "undefined":
         return None
     if kind == "periodic":
-        return Periodic(_decimals(d.get("unit"), "'unit'"))
+        return object.__new__(Periodic)._fill(
+            _decimals(d.get("unit"), "'unit'"))
     raise ValueError(f"unknown extension rule kind: {brief(kind)}")
 
 

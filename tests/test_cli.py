@@ -846,10 +846,20 @@ GROW_COMMANDS = [
 ]
 
 
-def dispatch_calls(argv: list[str]) -> int:
-    """The Python-level calls ``dispatch(argv)`` makes, its output kept
-    off stdout; with the collector off, which could finalize some other
-    code's generator (a call to the profiler) in the middle."""
+#: the tau rows and an opower ``verify``, which lists its violations,
+#: each over n rows, with their exit codes
+PERIODIC_COMMANDS = [
+    ("gen --family tau:m=1,P=5,N=1 --range 0..{n} --format json", 0),
+    ("verify --family tau:m=1,P=5,N=1 --range 0..{n}", 0),
+    ("verify --family opower:r=3,unit=+,-,- --range 0..{n}", 1),
+]
+
+
+def dispatch_calls(argv: list[str], exit_code: int = 0) -> int:
+    """The Python-level calls ``dispatch(argv)`` makes, which must exit
+    with ``exit_code``, its output kept off stdout; with the collector
+    off, which could finalize some other code's generator (a call to the
+    profiler) in the middle."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -864,15 +874,17 @@ def dispatch_calls(argv: list[str]) -> int:
         finally:
             sys.setprofile(None)
             gc.enable()
-    assert code == 0, argv
+    assert code == exit_code, argv
     return calls
 
 
 class TestCommandFlatCalls:
     """Clock-free scaling pins: after one warm-up, each command makes as
-    many Python-level calls over 2000 rows as over 200, and plain
-    ``enumerate`` as many over 5670 placements as over 150, so no bytecode
-    call runs per row or placement on its way to the text."""
+    many Python-level calls over 2000 rows as over 200, plain
+    ``enumerate`` as many over 5670 placements as over 150, and ``verify``
+    of a tau or opower unit as many over a long period as over a short
+    one, so no bytecode call runs per row, placement or slot on its way to
+    the text."""
 
     @pytest.mark.parametrize("command", GROW_COMMANDS)
     def test_calls_do_not_grow_with_the_rows(self, command):
@@ -881,6 +893,29 @@ class TestCommandFlatCalls:
 
         calls(200)
         assert calls(2000) == calls(200)
+
+    @pytest.mark.parametrize("command, exit_code", PERIODIC_COMMANDS)
+    def test_periodic_calls_do_not_grow_with_the_rows(self, command,
+                                                      exit_code):
+        def calls(n):
+            return dispatch_calls(command.format(n=n).split(), exit_code)
+
+        calls(200)
+        assert calls(2000) == calls(200)
+
+    @pytest.mark.parametrize("small, large, exit_code", [
+        ("tau:m=1,P=5,N=1", "tau:m=3,P=3;7;12,N=1;5;9", 0),
+        ("opower:r=3,unit=+,-,-", "opower:r=7,unit=+,+,-,-,-,0,0", 1)])
+    def test_verify_calls_do_not_grow_with_the_period(self, small, large,
+                                                      exit_code):
+        # a unit is built and checked in C-level passes: no call per slot
+        def calls(family):
+            return dispatch_calls(
+                ["verify", "--family", family, "--range", "0..30"],
+                exit_code)
+
+        calls(small)
+        assert calls(large) == calls(small)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_enumerate_calls_do_not_grow_with_the_placements(self, fmt):

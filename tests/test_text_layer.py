@@ -378,9 +378,10 @@ class TestTwoBoundaryFunctions:
             checked.append(what) or exact(items, what)))
         assert from_json(to_json(self.W)) == self.W
         assert from_csv(to_csv(self.W)) == span
-        # the ints ``_decimals`` reads take no second pass; lo and the
-        # tail units do
-        assert "window values" not in checked and "periodic unit" in checked
+        # the ints ``_decimals`` reads, the values and the tail units,
+        # take no second pass; only lo does
+        assert "window values" not in checked
+        assert "periodic unit" not in checked
 
     def test_readers_refuse_an_empty_window_and_one_over_the_cap(
             self, monkeypatch):
