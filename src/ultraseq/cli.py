@@ -50,21 +50,80 @@ def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     return seqcore.int_rows((range(lo, hi + 1), values), f"%{width}d  %d\n")
 
 
-def _command(sub, name: str, run, summary: str,
-             formats=("csv", "json", "table")) -> argparse.ArgumentParser:
-    """A subcommand with the shared --format and --output, and its handler,
-    which returns the text to emit and the exit code; without a table
-    format, --format is required."""
-    p = sub.add_parser(name, help=summary)
-    table = "table" in formats
-    p.add_argument("--format", choices=formats, required=not table,
-                   default="table" if table else None)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(run=run)
-    return p
+class _Command:
+    """A subcommand: its own parser, with the shared --format and --output
+    and its handler, which returns the text to emit and the exit code
+    (without a table format, --format is required); and the direct
+    reader's table, taken from the ``Action`` each option declares."""
+
+    def __init__(self, sub, name: str, run, summary: str,
+                 formats=("csv", "json", "table")):
+        self.parser = sub.add_parser(name, help=summary)
+        self.parser.set_defaults(run=run)
+        #: each option string the reader takes, and its action: one that
+        #: stores one value, or a flag, which takes none
+        self.options: dict[str, argparse.Action] = {}
+        self.defaults = {"run": self.parser.get_default("run")}
+        self.required: set[argparse.Action] = set()
+        table = "table" in formats
+        self.add_argument("--format", choices=formats, required=not table,
+                          default="table" if table else None)
+        self.add_argument("--output", default=None,
+                          help="output path (default stdout)")
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        """The parser's ``add_argument``, its action entered in the
+        table."""
+        action = self.parser.add_argument(*args, **kwargs)
+        if action.nargs in (None, 0):
+            self.options.update(dict.fromkeys(action.option_strings, action))
+        if action.default is not argparse.SUPPRESS:
+            self.defaults[action.dest] = action.default
+        if action.required:
+            self.required.add(action)
+        return action
+
+    def read(self, argv: Sequence[str]) -> argparse.Namespace | None:
+        """The namespace ``self.parser`` gives a well-formed ``argv``, read
+        in one loop: exact long options, as ``--opt value`` or
+        ``--opt=value``, and bare flags, each value converted by the
+        action's ``type`` and checked against its ``choices``, the last of
+        a repeated option winning.  None hands ``argv`` to the parser: an
+        abbreviation, ``-h``, ``--``, a positional, a value missing, given
+        to a flag or refused by its type or choices, a separate value that
+        starts with "-" (argparse's negative-number rule decides those),
+        or a required option left out."""
+        args = argparse.Namespace()
+        vars(args).update(self.defaults)  # not its __init__'s setattr loop
+        seen = set()
+        argv = iter(argv)
+        for arg in argv:
+            option, eq, value = arg.partition("=")
+            action = self.options.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                if eq:
+                    return None
+                value = []
+            else:
+                if not eq:
+                    value = next(argv, None)
+                    if value is None or value.startswith("-"):
+                        return None
+                if action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except (TypeError, ValueError, argparse.ArgumentTypeError):
+                        return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            action(self.parser, args, value, option)
+            seen.add(action)
+        return args if self.required <= seen else None
 
 
-def _add_family_range(p: argparse.ArgumentParser) -> None:
+def _add_family_range(p: _Command) -> None:
     p.add_argument("--family", required=True,
                    help="family descriptor, e.g. pi:m=1 or "
                         "tau:m=2,P=6;9,N=1;3")
@@ -73,21 +132,23 @@ def _add_family_range(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name, the
-    ``choices`` of its subparsers action; built once."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The top-level parser and each command by name; built once."""
     parser = argparse.ArgumentParser(
         prog="ultraseq",
         description="construct, transform, verify and enumerate "
                     "self-referential integer sequences")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Command] = {}
 
-    p = _command(sub, "gen", _cmd_gen, "generate family values over a range")
+    def command(name: str, *args, **kwargs) -> _Command:
+        commands[name] = _Command(sub, name, *args, **kwargs)
+        return commands[name]
+
+    p = command("gen", _cmd_gen, "generate family values over a range")
     _add_family_range(p)
 
-    p = _command(sub, "verify", _cmd_verify,
-                 "check the self-generation equation")
+    p = command("verify", _cmd_verify, "check the self-generation equation")
     p.add_argument("--family", default=None)
     p.add_argument("--input", default=None,
                    help="JSON sequence document to verify instead of a family")
@@ -95,35 +156,32 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--strict", action="store_true",
                    help="treat uncheckable positions as failures")
 
-    p = _command(sub, "diff", _cmd_diff, "k-fold forward difference of a family")
+    p = command("diff", _cmd_diff, "k-fold forward difference of a family")
     _add_family_range(p)
     p.add_argument("--order", type=int, default=1)
 
-    p = _command(sub, "closed-form", _cmd_closed_form,
-                 "compare iterative generation with closed forms")
+    p = command("closed-form", _cmd_closed_form,
+                "compare iterative generation with closed forms")
     _add_family_range(p)
 
-    p = _command(sub, "enumerate", _cmd_enumerate,
-                 "enumerate periodic placements")
+    p = command("enumerate", _cmd_enumerate, "enumerate periodic placements")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--canonical", action="store_true",
                    help="one representative per rotation class")
 
-    p = _command(sub, "approx", _cmd_approx,
-                 "two-point growth approximation report")
+    p = command("approx", _cmd_approx, "two-point growth approximation report")
     p.add_argument("--family", required=True)
     p.add_argument("--base", type=int, default=8,
                    help="index of the first base value")
     p.add_argument("--rmax", type=int, default=6)
 
-    p = _command(sub, "reference", _cmd_reference,
-                 "classical strange recursions")
+    p = command("reference", _cmd_reference, "classical strange recursions")
     p.add_argument("--sequence", choices=("q", "conway"), required=True)
     p.add_argument("--count", type=int, default=17)
 
-    p = _command(sub, "export", _cmd_export,
-                 "convert between sequence documents and formats",
-                 formats=("csv", "json"))
+    p = command("export", _cmd_export,
+                "convert between sequence documents and formats",
+                formats=("csv", "json"))
     p.add_argument("--family", default=None)
     p.add_argument("--input", default=None,
                    help="existing document (.json or .csv) to re-export")
@@ -135,7 +193,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
              "--input refuses a range: a cut document could not keep its "
              "periodic tail rules exact")
 
-    return parser, sub.choices
+    return parser, commands
 
 
 def _load(args, rng: tuple[int, int] | None, command: str) -> SeqWindow:
@@ -288,7 +346,8 @@ def _cmd_export(args) -> tuple[str, int]:
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments of one command, parsed by its own parser alone: one
+    """The arguments of one command: read by its direct reader, or, where
+    that hands them over, parsed by the command's own parser alone, one
     pass where the top-level parser would hand every argument after the
     command to it.  Arguments it leaves over are refused by the top-level
     parser, as its own pass refuses them, so every message is the same.  An
@@ -298,9 +357,11 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+    args = command.read(argv[1:])
+    if args is None:
+        args, extra = command.parser.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     return args
 
 

@@ -801,8 +801,9 @@ def parse_then_run(argv: list[str]) -> int:
 
 
 class TestDispatch:
-    """A command is parsed by its own parser, in one pass, with the exit
-    code, output and messages of the top-level parser's two passes."""
+    """A command is read by its direct reader, or parsed by its own parser
+    in one pass, with the exit code, output and messages of the top-level
+    parser's two passes."""
 
     @pytest.mark.parametrize("argv", usage_argvs(), ids=" ".join)
     def test_same_as_the_top_level_parser(self, capsys, argv):
@@ -817,20 +818,28 @@ class TestDispatch:
             assert err.splitlines()[-1] == (
                 f"ultraseq: error: unrecognized arguments: {extra[0]}")
 
-    def test_one_parser_pass_per_command(self, capsys, monkeypatch):
+    def test_argparse_parses_only_what_the_reader_hands_over(
+            self, capsys, monkeypatch):
+        """A valid argv of each command makes no argparse pass; every usage
+        argv makes at most one pass of the command's own parser."""
         passes = []
-        real = argparse.ArgumentParser.parse_known_args
+        for method in ("parse_args", "parse_known_args"):
+            real = getattr(argparse.ArgumentParser, method)
 
-        def counting(parser, *args, **kwargs):
-            passes.append(parser.prog)
-            return real(parser, *args, **kwargs)
+            def counting(parser, *args, real=real, **kwargs):
+                passes.append(parser.prog)
+                return real(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            counting)
+            monkeypatch.setattr(argparse.ArgumentParser, method, counting)
         for name, (argv, _) in COMMANDS.items():
             passes.clear()
             assert dispatch([name, *argv]) == 0, name
-            assert passes == [f"ultraseq {name}"]
+            assert passes == []
+        for argv in usage_argvs():
+            passes.clear()
+            dispatch(argv)
+            assert all(passes.count(f"ultraseq {name}") <= 1
+                       for name in COMMANDS), (argv, passes)
 
 
 #: the commands of the benchmark's ``grow`` workload, each over n rows
@@ -880,7 +889,8 @@ def dispatch_calls(argv: list[str], exit_code: int = 0) -> int:
 
 class TestCommandFlatCalls:
     """Clock-free scaling pins: after one warm-up, each command makes as
-    many Python-level calls over 2000 rows as over 200, plain
+    many Python-level calls over 2000 rows as over 200 (``verify --input``
+    of a pi document too), ``approx`` as many at base 900 as at 100, plain
     ``enumerate`` as many over 5670 placements as over 150, and ``verify``
     of a tau or opower unit as many over a long period as over a short
     one, so no bytecode call runs per row, placement or slot on its way to
@@ -916,6 +926,31 @@ class TestCommandFlatCalls:
 
         calls(small)
         assert calls(large) == calls(small)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_verify_input_calls_do_not_grow_with_the_rows(self, tmp_path,
+                                                          fmt):
+        def calls(n):
+            path = tmp_path / f"pi-{n}.json"
+            path.write_text(to_json(build_family("pi:m=1", 0, n)))
+            return dispatch_calls(["verify", "--input", str(path),
+                                   "--range", f"0..{n}", "--format", fmt])
+
+        calls(200)
+        assert calls(2000) == calls(200)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "exactmath.fixed_point rounds through Fraction.__round__, whose "
+        "Python-level calls depend on the direction each row rounds"))
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_approx_calls_do_not_grow_with_the_base(self, fmt):
+        def calls(base):
+            return dispatch_calls(["approx", "--family",
+                                   "composite:left=tau:m=1,P=5,N=1,seed=1",
+                                   "--base", str(base), "--format", fmt])
+
+        calls(100)
+        assert calls(900) == calls(100)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_enumerate_calls_do_not_grow_with_the_placements(self, fmt):

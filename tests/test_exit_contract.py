@@ -1,10 +1,14 @@
 """The exit contract over argv drawn from a grammar of the eight commands:
-every failure is a named refusal, every exit 0 or 1 prints text that parses
-in its format, and ``dispatch`` exits as the handler says."""
+every failure is a named refusal (an ``UltraseqError``, a ``ValueError``, or
+the ``OSError`` of a file that cannot be read or written) with nothing on
+stdout, every exit 0 or 1 prints text that parses in its format, and
+``dispatch`` exits as the handler says; and each command's direct reader
+reads an argv as the command's own parser does, or hands it over."""
 import contextlib
 import csv
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,7 +70,11 @@ ranges = mostly(
         lambda t: f"{t[0]}..{t[0] + t[1]}"),
     ["x..3", "3", "..", "1..", "5..2", "0..2000000"])
 families = mostly(FAMILIES, BROKEN_FAMILIES)
-documents = mostly(list(DOCUMENTS)[:5], list(DOCUMENTS)[5:])
+#: an ``--input`` path that is missing, and one that is a directory
+UNREADABLE = ["missing.json", "directory"]
+#: an ``--output`` path in a directory that is missing
+UNWRITABLE = "missing/out.txt"
+documents = mostly(list(DOCUMENTS)[:5], list(DOCUMENTS)[5:] + UNREADABLE)
 
 
 def counts(lo: int, hi: int) -> st.SearchStrategy:
@@ -104,20 +112,40 @@ def argvs(draw, name: str) -> list[str]:
     options["--format"] = draw(mostly(
         ["csv", "json"] if name == "export" else ["csv", "json", "table"],
         ["xml"]))
+    if draw(st.integers(1, 8)) == 8:
+        options["--output"] = UNWRITABLE
     if draw(st.integers(1, 8)) == 8:  # a required option left out
         options.pop(draw(st.sampled_from(sorted(options))))
-    return [name] + [key if value is True else f"{key}={value}"
-                     for key, value in options.items()
-                     if value not in (None, False)]
+    argv = [name]
+    for key, value in options.items():  # as --key=value or --key value
+        if value is True:
+            argv.append(key)
+        elif value not in (None, False):
+            argv += [f"{key}={value}"] if draw(st.booleans()) else [key, value]
+    return argv
 
 
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
+    """Each document name, and each unreadable or unwritable one, by its
+    path; the directory holds the documents and the directory alone."""
     root = tmp_path_factory.mktemp("documents")
     for name, text in DOCUMENTS.items():
         (root / name).write_text(text, encoding="utf-8",
                                  errors="surrogateescape")
-    return {name: str(root / name) for name in DOCUMENTS}
+    (root / "directory").mkdir()
+    return {name: str(root / name)
+            for name in (*DOCUMENTS, *UNREADABLE, UNWRITABLE)}
+
+
+def located(argv: list[str], paths: dict[str, str]) -> list[str]:
+    """``argv`` with each path name, alone or after "=", as its path."""
+    out = []
+    for arg in argv:
+        key, eq, name = arg.partition("=")
+        out.append(key + eq + paths[name] if name in paths
+                   else paths.get(arg, arg))
+    return out
 
 
 def parses(fmt: str, text: str) -> bool:
@@ -135,24 +163,65 @@ def parses(fmt: str, text: str) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_exit_is_a_refusal_or_text_that_parses(paths, command, data):
-    argv = data.draw(argvs(command), label="argv")
-    argv = [f"--input={paths[arg[8:]]}" if arg.startswith("--input=")
-            else arg for arg in argv]
+    argv = located(data.draw(argvs(command), label="argv"), paths)
     with contextlib.redirect_stderr(io.StringIO()):
         try:
             args = cli._parse(argv)
         except SystemExit:
             args = None
         # as ``dispatch`` runs it; any other exception fails the test
-        try:
-            text, code = args.run(args) if args else (None, 2)
-        except (UltraseqError, ValueError):
-            text, code = None, 2
+        text, code = None, 2
+        if args is not None:
+            try:
+                text, code = args.run(args)
+                if args.output is not None:  # the grammar's --output fails
+                    cli._emit(text, args.output)
+            except (UltraseqError, ValueError, OSError):
+                text, code = None, 2
         if text is not None:
             assert code in (0, 1)
             assert parses(args.format, text), text
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert dispatch(argv) == code
-    if text is not None:
-        assert out.getvalue() == text + "\n" * (not text.endswith("\n"))
+    assert out.getvalue() == (
+        "" if text is None else text + "\n" * (not text.endswith("\n")))
+    root = os.path.dirname(paths["directory"])
+    assert sorted(os.listdir(root)) == sorted([*DOCUMENTS, "directory"])
+
+
+def reads_as_the_command_parser(argv: list[str]) -> bool:
+    """Whether the direct reader of ``argv[0]`` reads ``argv[1:]`` itself;
+    when it does, its namespace is its parser's, with nothing left over."""
+    command = cli._build_parser()[1][argv[0]]
+    args = command.read(argv[1:])
+    if args is not None:
+        want, extra = command.parser.parse_known_args(argv[1:])
+        assert (vars(args), extra) == (vars(want), [])
+    return args is not None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.sampled_from(sorted(COMMANDS)).flatmap(argvs))
+def test_the_direct_reader_reads_as_the_command_parser(argv):
+    reads_as_the_command_parser(argv)
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["gen", "--fam", "pi:m=1", "--range", "0..2"], False),
+    (["gen", "--family=", "--range", "0..2"], True),
+    (["gen", "--family=a=b", "--range", "0..2"], True),
+    (["gen", "--", "--family", "pi:m=1", "--range", "0..2"], False),
+    (["verify", "--range", "0..2", "--strict=1"], False),
+    (["enumerate", "--m", "-1"], False),
+    (["enumerate", "--m", "1", "--m", "2"], True),
+    (["enumerate", "--m", "1", "-h"], False),
+    (["reference", "--sequence", "q", "--count", " 5"], True),
+    (["approx", "--family", "pi:m=1", "--base", "-3"], False),
+    (["approx", "--family", "pi:m=1", "--base=-3"], True),
+    (["approx", "--family", "pi:m=1", "--base"], False),
+    (["approx", "--family", "pi:m=1", "extra"], False),
+    (["reference", "--count", "5"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else f"read={v}")
+def test_the_direct_reader_at_its_edges(argv, read):
+    assert reads_as_the_command_parser(argv) == read
