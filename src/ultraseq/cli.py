@@ -198,7 +198,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
 def _load(args, rng: tuple[int, int] | None, command: str) -> SeqWindow:
     """The window ``command`` reads: ``--family`` built to cover ``rng``, or
-    the ``--input`` document; exactly one of the two is given."""
+    the ``--input`` document, whose JSON text is freed once it is parsed,
+    before its values are converted; exactly one of the two is given."""
     if (args.family is None) == (args.input is None):
         raise ValueError(f"{command} needs exactly one of --family / --input")
     if args.input is None:
@@ -206,8 +207,9 @@ def _load(args, rng: tuple[int, int] | None, command: str) -> SeqWindow:
             raise ValueError("--range is required with --family")
         return build_family(args.family, *rng)
     with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    return (from_csv if args.input.endswith(".csv") else from_json)(text)
+        # the reader gets the only reference to the text
+        return (from_csv if args.input.endswith(".csv")
+                else from_json)(fh.read())
 
 
 def _cmd_gen(args) -> tuple[str, int]:

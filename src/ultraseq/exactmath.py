@@ -269,7 +269,11 @@ def closed_form_affine(a0: int, a1: int, eps: int, n: int) -> int:
 
 def fixed_point(x: Scalar, places: int) -> str:
     """``x`` as decimal text with ``places`` digits after the point, rounded
-    half to even on the exact value, so no size overflows."""
-    n = round(Fraction(x) * 10 ** places)
+    half to even on the exact value by one integer ``divmod``, so no size
+    overflows and the Python-level calls do not depend on the rounding."""
+    den = x.denominator
+    n, rest = divmod(x.numerator * 10 ** places, den)
+    if 2 * rest > den or 2 * rest == den and n & 1:  # half to even
+        n += 1
     q, r = divmod(abs(n), 10 ** places)
     return "-" * (n < 0) + str(q) + (f".{r:0{places}d}" if places else "")

@@ -542,25 +542,25 @@ def build_approx_model(m: int, base_n: int, u_n: int, u_n1: int) -> ApproxModel:
     return ApproxModel(m, xi, phi, base_n, u_n, u_n1)
 
 
-def _predictions(a: ApproxModel) -> abc.Iterator[Fraction]:
-    """P(r) for r = 0, 1, ...: the sum of multiples of phi^r and psi^r, the
-    roots of x^2 = xi*x + (2 - xi), through P(0) = u_n and P(1) = u_{n+1}.
-    It obeys P(r+2) = xi*P(r+1) + (2 - xi)*P(r), so each value is exact.
-    With xi = A/b and 2 - xi = B/b, P(r) = N_r / b^r for the integers N_0 =
-    u_n, N_1 = b*u_{n+1} and N_{r+2} = A*N_{r+1} + B*b*N_r: no step makes a
-    ``Fraction``, only each value yielded."""
+def _predictions(a: ApproxModel) -> abc.Iterator[tuple[int, int]]:
+    """P(r) = N_r / b^r for r = 0, 1, ..., as the integer pairs (N_r, b^r):
+    the sum of multiples of phi^r and psi^r, the roots of x^2 = xi*x + (2 -
+    xi), through P(0) = u_n and P(1) = u_{n+1}.  It obeys P(r+2) =
+    xi*P(r+1) + (2 - xi)*P(r), so each value is exact.  With xi = A/b and 2
+    - xi = B/b, N_0 = u_n, N_1 = b*u_{n+1} and N_{r+2} = A*N_{r+1} +
+    B*b*N_r: no step makes a ``Fraction``."""
     A, b = a.xi.numerator, a.xi.denominator
     Bb = (2 * b - A) * b
     p, q, power = a.u_n, b * a.u_n1, 1
     while True:
-        yield Fraction(p, power)
+        yield p, power
         p, q, power = q, A * q + Bb * p, power * b
 
 
 def approx_predict(a: ApproxModel, r: int) -> Fraction:
     if r < 0:
         raise ValueError("r must be >= 0")
-    return next(islice(_predictions(a), r, None))
+    return Fraction(*next(islice(_predictions(a), r, None)))
 
 
 ApproxReportRow = namedtuple("ApproxReportRow", "r predicted exact rel_error")
@@ -583,8 +583,12 @@ def approx_report(w: SeqWindow, m: int, base_n: int, r_max: int) -> ApproxReport
         raise DegenerateBase(
             f"value at base index {base_n} is 0: the row has no growth to fit")
     model = build_approx_model(m, base_n, *exact[:2])
-    rows = tuple(ApproxReportRow(r, p, u, float(abs(p - u) / max(1, abs(u))))
-                 for r, p, u in zip(range(r_max + 1), _predictions(model),
+    # |N/b^r - u| / max(1, |u|) as one int true division, correctly rounded
+    # as ``float(Fraction)`` is
+    rows = tuple(
+        ApproxReportRow(r, Fraction(N, power), u,
+                        abs(N - u * power) / (power * max(1, abs(u))))
+        for r, (N, power), u in zip(range(r_max + 1), _predictions(model),
                                     exact))
     return ApproxReport(model, rows, model.u_n1 / model.u_n)
 

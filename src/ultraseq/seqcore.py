@@ -483,15 +483,15 @@ CheckEntry = namedtuple("CheckEntry", "position expected actual status")
 
 
 class CheckReport(Frozen):
-    """The equation's check at each of n positions from ``_start``, held as
-    its expected, actual and status columns over one period, which repeat
-    to the n rows.  A plain report's period is its whole range, and it
-    builds its entries at once; a report of a window periodic everywhere
-    holds one period and builds them only when they are read."""
+    """The equation's check at each of its positions, held as the expected,
+    actual and status columns over one period of q rows, repeated to the n
+    positions.  A report of a window periodic everywhere holds one period;
+    any other report is one period of q = n rows.  No report builds its
+    entries until they are read."""
 
-    # caches, outside the value: the one-period columns, the range, and the
-    # entries once built
-    __slots__ = ("_columns", "_start", "_n", "_entries")
+    # caches, outside the value: the one-period columns, the positions (a
+    # range from ``verify_O_range``), and the entries once read
+    __slots__ = ("_columns", "_positions", "_entries")
     _fields = ("entries",)
 
     def __new__(cls, entries: Iterable[CheckEntry]):
@@ -499,41 +499,41 @@ class CheckReport(Frozen):
         positions, *columns = zip(*entries) if entries else ((),) * 4
         if not all(map(operator.lt, positions, positions[1:])):
             raise ValueError("entries must have strictly increasing positions")
-        return cls._of(columns, 0, len(entries), entries)
+        report = cls._of(columns, positions)
+        object.__setattr__(report, "_entries", entries)
+        return report
 
     @classmethod
-    def _of(cls, columns: Sequence[Sequence], start: int, n: int,
-            entries: tuple | None = None) -> CheckReport:
-        """The report whose ``columns`` repeat to n rows from ``start``,
-        unchecked; a plain one takes ``entries`` or builds them."""
+    def _of(cls, columns: Sequence[Sequence],
+            positions: Sequence[int]) -> CheckReport:
+        """The report whose ``columns`` repeat over ``positions``,
+        unchecked."""
         report = object.__new__(cls)
         object.__setattr__(report, "_columns", columns)
-        object.__setattr__(report, "_start", start)
-        object.__setattr__(report, "_n", n)
-        if len(columns[0]) == n:
-            object.__setattr__(report, "_entries", _entries(
-                range(start, start + n), columns) if entries is None
-                else entries)
+        object.__setattr__(report, "_positions", positions)
         return report
 
     @property
     def entries(self) -> tuple[CheckEntry, ...]:
+        """A ``CheckEntry`` per position, built on the first read by
+        ``tuple.__new__``: no Python-level call per position."""
         try:
             return self._entries
         except AttributeError:
-            object.__setattr__(self, "_entries", _entries(
-                range(self._start, self._start + self._n),
-                map(cycle, self._columns)))
+            object.__setattr__(self, "_entries", tuple(map(
+                tuple.__new__, repeat(CheckEntry),
+                zip(self._positions, *map(cycle, self._columns)))))
             return self._entries
 
     # the columns over the whole range, by list repetition
     _expected, _actual, _statuses = (
-        property(lambda self, i=i: _repeat(self._columns[i], self._n))
+        property(lambda self, i=i: _repeat(self._columns[i],
+                                           len(self._positions)))
         for i in range(3))
 
     def count(self, status: str) -> int:
         statuses = self._columns[2]
-        whole, rest = divmod(self._n, len(statuses) or 1)
+        whole, rest = divmod(len(self._positions), len(statuses) or 1)
         return statuses.count(status) * whole + statuses[:rest].count(status)
 
     @property
@@ -553,28 +553,19 @@ class CheckReport(Frozen):
         return self.violation_count == 0
 
     def violations(self) -> list[CheckEntry]:
-        """The violating entries; a periodic report builds one per
-        violating position, at each period's offset, by ``tuple.__new__``:
-        no Python-level call per entry."""
+        """The violating entries, one built per violating position, at
+        each period's offset, by ``tuple.__new__``: no Python-level call
+        per entry."""
         expected, actual, statuses = self._columns
-        q, n, start = len(statuses), self._n, self._start
-        if q == n:
-            return list(compress(self.entries, map(
-                operator.eq, statuses, repeat(VIOLATION))))
-        bad = list(compress(range(q), map(
+        bad = list(compress(range(len(statuses)), map(
             operator.eq, statuses, repeat(VIOLATION))))
         if not bad:  # no loop over the periods
             return []
-        return [tuple.__new__(CheckEntry, (start + k + i, expected[i],
+        positions, q = self._positions, len(statuses)
+        n = len(positions)
+        return [tuple.__new__(CheckEntry, (positions[k + i], expected[i],
                                            actual[i], VIOLATION))
                 for k in range(0, n, q) for i in bad if k + i < n]
-
-
-def _entries(positions: range, columns: Iterable[Iterable]) -> tuple:
-    """A ``CheckEntry`` per position, built from the columns by
-    ``tuple.__new__``: no Python-level call per position."""
-    return tuple(map(tuple.__new__, repeat(CheckEntry),
-                     zip(positions, *columns)))
 
 
 def verify_O_point(w: SeqWindow, p: int) -> CheckEntry:
@@ -591,10 +582,10 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
     The report is built by C-level passes over the two columns: one
     comparison per position gives its status, ``count`` finds how many None
     each column holds and one ``index`` scan per None marks the uncheckable
-    ones, so a column without None raises nothing, and each entry is the
-    ``CheckEntry`` tuple built by ``tuple.__new__``, with no Python-level
-    call per position.  On a window periodic everywhere the columns cover
-    one period (``_one_period``), and the report repeats them.
+    ones, so a column without None raises nothing.  The report holds the
+    three columns and the range, and builds no entry until one is read.  On
+    a window periodic everywhere the columns cover one period
+    (``_one_period``), and the report repeats them.
 
     A negative head reads its successors (including the very value being
     checked); this is an equality test, never a generation step.
@@ -612,7 +603,7 @@ def verify_O_range(w: SeqWindow, a: int, b: int) -> CheckReport:
             i = col.index(None, i + 1)
             expected[i] = actual[i] = None
             statuses[i] = UNCHECKABLE
-    return CheckReport._of((expected, actual, statuses), a, b - a + 1)
+    return CheckReport._of((expected, actual, statuses), range(a, b + 1))
 
 
 # --- generation --------------------------------------------------------------
@@ -944,9 +935,12 @@ def to_json(w: SeqWindow) -> str:
 
 def from_json(text: str) -> SeqWindow:
     """The window a JSON document describes; nesting past the recursion
-    limit, in the parser or in a refused field's repr, is a ValueError."""
+    limit, in the parser or in a refused field's repr, is a ValueError.
+    The text is let go once parsed, before any value is converted."""
     try:
-        return from_document(json.loads(text))
+        document = json.loads(text)
+        del text
+        return from_document(document)
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 

@@ -613,6 +613,19 @@ class TestApproxModel:
         assert [r.rel_error for r in report.rows[:2]] == [0.0, 0.0]
         assert max(r.rel_error for r in report.rows) < 0.05
 
+    @given(st.integers(1, 4), st.integers(1, 2 ** 64), st.integers(-9, 9),
+           st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=2, max_size=8))
+    def test_rows_are_the_exact_fractions(self, m, u_n, step, rest):
+        # the integer rows against the Fraction arithmetic they replace
+        values = [u_n, u_n + step, *rest]
+        report = approx_report(SeqWindow(0, values), m, 0, len(values) - 1)
+        model = build_approx_model(m, 0, *values[:2])
+        for r, (row, u) in enumerate(zip(report.rows, values)):
+            p = approx_predict(model, r)
+            assert row == (r, p, u, float(abs(p - u) / max(1, abs(u))))
+            assert type(row.predicted) is Fraction
+            assert type(row.rel_error) is float
+
     def test_report_on_collapsed_row(self):
         row = composite_row(TauConfig(2, {1, 4}, {6, 8}), (), 1, 12)
         assert set(row.values[-8:]) == {0}

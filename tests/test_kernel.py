@@ -551,6 +551,23 @@ class TestReportBuild:
         empty = CheckReport(())
         assert empty._expected == empty._statuses == () and empty.all_ok
 
+    @given(small_windows, st.integers(-30, 30), st.integers(1, 40))
+    def test_builds_no_entries_until_they_are_read(self, w, a, length):
+        r = verify_O_range(w, a, a + length - 1)
+        counts = list(map(r.count, ("ok", "violation", "uncheckable")))
+        violations = r.violations()
+        assert not hasattr(r, "_entries") and sum(counts) == length
+        assert all(type(e) is CheckEntry for e in violations)
+        assert violations == [e for e in r.entries if e.status == "violation"]
+        assert len(violations) == counts[1]
+
+    def test_violations_read_the_given_positions(self):
+        # the public constructor takes increasing, not contiguous, positions
+        entries = [CheckEntry(-4, 1, 2, "violation"), CheckEntry(0, 3, 3, "ok"),
+                   CheckEntry(7, 5, 6, "violation"),
+                   CheckEntry(9, None, None, "uncheckable")]
+        assert CheckReport(entries).violations() == entries[::2]
+
     def test_python_calls_do_not_grow_with_the_row(self):
         # a fresh row of each length; every position past the first few
         # sums back past lo
@@ -609,12 +626,12 @@ class TestPeriodicEverywhere:
     dense oracle; a window periodic only on its sides is checked densely."""
 
     @staticmethod
-    def check(w: SeqWindow, a: int, b: int, repeated: bool) -> None:
+    def check(w: SeqWindow, a: int, b: int) -> None:
         assert o_successors(w, a, b) == dense_successors(w, a, b)
         want = dense_entries(w, a, b)
         r = verify_O_range(w, a, b)
-        # only a repeated report builds its entries when they are read
-        assert hasattr(r, "_entries") is not repeated
+        # no report builds its entries before they are read
+        assert not hasattr(r, "_entries")
         for status in ("ok", "violation", "uncheckable", "mystery"):
             assert r.count(status) == sum(e.status == status for e in want)
         assert r.violations() == [e for e in want if e.status == "violation"]
@@ -642,7 +659,7 @@ class TestPeriodicEverywhere:
             assert t - s + 1 == q and (s - a) % q == 0 and w.lo <= s < w.lo + q
         else:
             assert (s, t) == (a, b)
-        self.check(w, a, b, length > q)
+        self.check(w, a, b)
 
     @settings(deadline=None)
     @given(everywhere_periodic(), st.integers(-40, 40), st.integers(1, 160),
@@ -663,7 +680,7 @@ class TestPeriodicEverywhere:
         b = a + length - 1
         for v in broken:
             assert seqcore._one_period(v, a, b) == (a, b)
-            self.check(v, a, b, False)
+            self.check(v, a, b)
 
 
 class TestApplyOKernel:

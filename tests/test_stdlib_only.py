@@ -72,3 +72,22 @@ def test_the_command_line_starts_without_them():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def collector_imports(source: str) -> list[str]:
+    """The imports of ``gc`` in ``source``."""
+    return [n for n in absolute_imports(source) if n == "gc"]
+
+
+def test_no_module_drives_the_collector():
+    # the benchmark's peak memory follows how often the collector runs: a
+    # package that collected or moved the thresholds would read better
+    # without using less
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert collector_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def test_the_collector_scan_sees_an_import_in_a_function():
+    source = ("import os\nfrom .gc import x\n"
+              "def f():\n    import gc\n    gc.collect()\n")
+    assert collector_imports(source) == ["gc"]
