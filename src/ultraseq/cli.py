@@ -50,152 +50,6 @@ def _format_rows(w: SeqWindow, lo: int, hi: int, fmt: str) -> str:
     return seqcore.int_rows((range(lo, hi + 1), values), f"%{width}d  %d\n")
 
 
-class _Command:
-    """A subcommand: its own parser, with the shared --format and --output
-    and its handler, which returns the text to emit and the exit code
-    (without a table format, --format is required); and the direct
-    reader's table, taken from the ``Action`` each option declares."""
-
-    def __init__(self, sub, name: str, run, summary: str,
-                 formats=("csv", "json", "table")):
-        self.parser = sub.add_parser(name, help=summary)
-        self.parser.set_defaults(run=run)
-        #: each option string the reader takes, and its action: one that
-        #: stores one value, or a flag, which takes none
-        self.options: dict[str, argparse.Action] = {}
-        self.defaults = {"run": self.parser.get_default("run")}
-        self.required: set[argparse.Action] = set()
-        table = "table" in formats
-        self.add_argument("--format", choices=formats, required=not table,
-                          default="table" if table else None)
-        self.add_argument("--output", default=None,
-                          help="output path (default stdout)")
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        """The parser's ``add_argument``, its action entered in the
-        table."""
-        action = self.parser.add_argument(*args, **kwargs)
-        if action.nargs in (None, 0):
-            self.options.update(dict.fromkeys(action.option_strings, action))
-        if action.default is not argparse.SUPPRESS:
-            self.defaults[action.dest] = action.default
-        if action.required:
-            self.required.add(action)
-        return action
-
-    def read(self, argv: Sequence[str]) -> argparse.Namespace | None:
-        """The namespace ``self.parser`` gives a well-formed ``argv``, read
-        in one loop: exact long options, as ``--opt value`` or
-        ``--opt=value``, and bare flags, each value converted by the
-        action's ``type`` and checked against its ``choices``, the last of
-        a repeated option winning.  None hands ``argv`` to the parser: an
-        abbreviation, ``-h``, ``--``, a positional, a value missing, given
-        to a flag or refused by its type or choices, a separate value that
-        starts with "-" (argparse's negative-number rule decides those),
-        or a required option left out."""
-        args = argparse.Namespace()
-        vars(args).update(self.defaults)  # not its __init__'s setattr loop
-        seen = set()
-        argv = iter(argv)
-        for arg in argv:
-            option, eq, value = arg.partition("=")
-            action = self.options.get(option)
-            if action is None:
-                return None
-            if action.nargs == 0:
-                if eq:
-                    return None
-                value = []
-            else:
-                if not eq:
-                    value = next(argv, None)
-                    if value is None or value.startswith("-"):
-                        return None
-                if action.type is not None:
-                    try:
-                        value = action.type(value)
-                    except (TypeError, ValueError, argparse.ArgumentTypeError):
-                        return None
-                if action.choices is not None and value not in action.choices:
-                    return None
-            action(self.parser, args, value, option)
-            seen.add(action)
-        return args if self.required <= seen else None
-
-
-def _add_family_range(p: _Command) -> None:
-    p.add_argument("--family", required=True,
-                   help="family descriptor, e.g. pi:m=1 or "
-                        "tau:m=2,P=6;9,N=1;3")
-    p.add_argument("--range", required=True, dest="range_",
-                   metavar="A..B", help="inclusive index range")
-
-
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
-    """The top-level parser and each command by name; built once."""
-    parser = argparse.ArgumentParser(
-        prog="ultraseq",
-        description="construct, transform, verify and enumerate "
-                    "self-referential integer sequences")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, _Command] = {}
-
-    def command(name: str, *args, **kwargs) -> _Command:
-        commands[name] = _Command(sub, name, *args, **kwargs)
-        return commands[name]
-
-    p = command("gen", _cmd_gen, "generate family values over a range")
-    _add_family_range(p)
-
-    p = command("verify", _cmd_verify, "check the self-generation equation")
-    p.add_argument("--family", default=None)
-    p.add_argument("--input", default=None,
-                   help="JSON sequence document to verify instead of a family")
-    p.add_argument("--range", required=True, dest="range_", metavar="A..B")
-    p.add_argument("--strict", action="store_true",
-                   help="treat uncheckable positions as failures")
-
-    p = command("diff", _cmd_diff, "k-fold forward difference of a family")
-    _add_family_range(p)
-    p.add_argument("--order", type=int, default=1)
-
-    p = command("closed-form", _cmd_closed_form,
-                "compare iterative generation with closed forms")
-    _add_family_range(p)
-
-    p = command("enumerate", _cmd_enumerate, "enumerate periodic placements")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--canonical", action="store_true",
-                   help="one representative per rotation class")
-
-    p = command("approx", _cmd_approx, "two-point growth approximation report")
-    p.add_argument("--family", required=True)
-    p.add_argument("--base", type=int, default=8,
-                   help="index of the first base value")
-    p.add_argument("--rmax", type=int, default=6)
-
-    p = command("reference", _cmd_reference, "classical strange recursions")
-    p.add_argument("--sequence", choices=("q", "conway"), required=True)
-    p.add_argument("--count", type=int, default=17)
-
-    p = command("export", _cmd_export,
-                "convert between sequence documents and formats",
-                formats=("csv", "json"))
-    p.add_argument("--family", default=None)
-    p.add_argument("--input", default=None,
-                   help="existing document (.json or .csv) to re-export")
-    p.add_argument(
-        "--range", default=None, dest="range_", metavar="A..B",
-        help="inclusive index range; csv writes these rows only.  With "
-             "--format json, --family writes the whole window the family "
-             "builds to cover A..B (a pi row runs from 0 to B+2) and "
-             "--input refuses a range: a cut document could not keep its "
-             "periodic tail rules exact")
-
-    return parser, commands
-
-
 def _load(args, rng: tuple[int, int] | None, command: str) -> SeqWindow:
     """The window ``command`` reads: ``--family`` built to cover ``rng``, or
     the ``--input`` document, whose JSON text is freed once it is parsed,
@@ -347,24 +201,150 @@ def _cmd_export(args) -> tuple[str, int]:
     return to_csv(w, *(rng or (w.lo, w.hi))), 0
 
 
+def _io(formats=("csv", "json", "table")) -> dict[str, dict]:
+    """The shared --format and --output; without a table format, --format
+    is required."""
+    table = "table" in formats
+    return {"--format": {"choices": formats, "required": not table,
+                         "default": "table" if table else None},
+            "--output": {"default": None,
+                         "help": "output path (default stdout)"}}
+
+
+_FAMILY_RANGE = {
+    "--family": {"required": True,
+                 "help": "family descriptor, e.g. pi:m=1 or "
+                         "tau:m=2,P=6;9,N=1;3"},
+    "--range": {"required": True, "dest": "range_", "metavar": "A..B",
+                "help": "inclusive index range"}}
+
+#: each command by name: its handler, which returns the text to emit and
+#: the exit code, its summary, and its options in ``--help`` order, each
+#: with the keyword arguments of argparse's ``add_argument``
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate family values over a range",
+            {**_io(), **_FAMILY_RANGE}),
+    "verify": (_cmd_verify, "check the self-generation equation", {
+        **_io(), "--family": {"default": None},
+        "--input": {"default": None, "help": "JSON sequence document to "
+                                             "verify instead of a family"},
+        "--range": {"required": True, "dest": "range_", "metavar": "A..B"},
+        "--strict": {"action": "store_true",
+                     "help": "treat uncheckable positions as failures"}}),
+    "diff": (_cmd_diff, "k-fold forward difference of a family", {
+        **_io(), **_FAMILY_RANGE, "--order": {"type": int, "default": 1}}),
+    "closed-form": (_cmd_closed_form,
+                    "compare iterative generation with closed forms",
+                    {**_io(), **_FAMILY_RANGE}),
+    "enumerate": (_cmd_enumerate, "enumerate periodic placements", {
+        **_io(), "--m": {"type": int, "required": True},
+        "--canonical": {"action": "store_true",
+                        "help": "one representative per rotation class"}}),
+    "approx": (_cmd_approx, "two-point growth approximation report", {
+        **_io(), "--family": {"required": True},
+        "--base": {"type": int, "default": 8,
+                   "help": "index of the first base value"},
+        "--rmax": {"type": int, "default": 6}}),
+    "reference": (_cmd_reference, "classical strange recursions", {
+        **_io(), "--sequence": {"choices": ("q", "conway"), "required": True},
+        "--count": {"type": int, "default": 17}}),
+    "export": (_cmd_export, "convert between sequence documents and formats", {
+        **_io(("csv", "json")), "--family": {"default": None},
+        "--input": {"default": None, "help": "existing document (.json or "
+                                             ".csv) to re-export"},
+        "--range": {
+            "default": None, "dest": "range_", "metavar": "A..B",
+            "help": "inclusive index range; csv writes these rows only.  "
+                    "With --format json, --family writes the whole window "
+                    "the family builds to cover A..B (a pi row runs from 0 "
+                    "to B+2) and --input refuses a range: a cut document "
+                    "could not keep its periodic tail rules exact"}}),
+}
+
+
+@functools.cache
+def _view(command: str) -> tuple[dict, dict, frozenset]:
+    """The reader's table of ``command``: each option's dest, converter
+    (None for a flag, which takes no value) and choices; the namespace's
+    defaults, ``run`` included; and the required dests."""
+    run, _, options = _COMMANDS[command]
+    table, defaults, required = {}, {"run": run}, set()
+    for option, kw in options.items():
+        dest = kw.get("dest", option[2:].replace("-", "_"))
+        flag = kw.get("action") == "store_true"
+        table[option] = (dest, None if flag else kw.get("type", str),
+                         kw.get("choices"))
+        defaults[dest] = kw.get("default", False if flag else None)
+        if kw.get("required"):
+            required.add(dest)
+    return table, defaults, frozenset(required)
+
+
+def _read(command: str, argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace the parser of ``command`` gives a well-formed
+    ``argv``, read in one loop: exact long options, as ``--opt value`` or
+    ``--opt=value``, and bare flags, each value converted by the option's
+    ``type`` and checked against its ``choices``, the last of a repeated
+    option winning.  None hands ``argv`` to argparse: an abbreviation,
+    ``-h``, ``--``, a positional, a value missing, given to a flag or
+    refused by its type or choices, a separate value that starts with "-"
+    (argparse's negative-number rule decides those), or a required option
+    left out."""
+    options, defaults, required = _view(command)
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(defaults)  # not its __init__'s setattr loop
+    seen = set()
+    argv = iter(argv)
+    for arg in argv:
+        option, eq, value = arg.partition("=")
+        spec = options.get(option)
+        if spec is None:
+            return None
+        dest, convert, choices = spec
+        if convert is None:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(argv, None)
+                if value is None or value.startswith("-"):
+                    return None
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        seen.add(dest)
+    return args if required <= seen else None
+
+
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree of ``_COMMANDS``, which writes every help text and
+    refusal, and each command's own parser by name; built on first use."""
+    parser = argparse.ArgumentParser(
+        prog="ultraseq",
+        description="construct, transform, verify and enumerate "
+                    "self-referential integer sequences")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (run, summary, options) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=summary)
+        command.set_defaults(run=run)
+        for option, kw in options.items():
+            command.add_argument(option, **kw)
+    return parser, commands
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments of one command: read by its direct reader, or, where
-    that hands them over, parsed by the command's own parser alone, one
-    pass where the top-level parser would hand every argument after the
-    command to it.  Arguments it leaves over are refused by the top-level
-    parser, as its own pass refuses them, so every message is the same.  An
-    empty argv, an option or an unknown command goes to the top-level
-    parser."""
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.read(argv[1:])
-    if args is None:
-        args, extra = command.parser.parse_known_args(argv[1:])
-        if extra:
-            parser.error("unrecognized arguments: " + " ".join(extra))
-    return args
+    """The arguments of one command, read directly; argparse parses what
+    the reader hands over, an empty argv, an option or an unknown command."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return _parser()[0].parse_args(argv) if args is None else args
 
 
 def dispatch(argv: Sequence[str]) -> int:

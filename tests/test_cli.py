@@ -2,9 +2,9 @@
 import argparse
 import contextlib
 import csv
-import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from test_kernel import python_calls
 from ultraseq import cli, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.errors import UltraseqError, brief, clip
@@ -753,7 +754,7 @@ class TestUsage:
             "lo": 0, "values": ["3", "2", "5"],
             "left": {"kind": "undefined"}, "right": {"kind": "undefined"}}))
         verify = ["verify", "--input", str(path), "--range", "0..0"]
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parser() is cli._parser()
         assert dispatch(verify + ["--strict"]) == 1
         assert dispatch(verify) == 0
         assert dispatch(["gen", "--family", "pi:m=1"]) == 2
@@ -824,7 +825,7 @@ def parse_then_run(argv: list[str]) -> int:
     """``dispatch`` as two argparse passes: the top-level parser, which
     hands the command's arguments to its subparser, then the handler."""
     try:
-        args = cli._build_parser()[0].parse_args(argv)
+        args = cli._parser()[0].parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -856,9 +857,19 @@ class TestDispatch:
 
     def test_argparse_parses_only_what_the_reader_hands_over(
             self, capsys, monkeypatch):
-        """A valid argv of each command makes no argparse pass; every usage
-        argv makes at most one pass of the command's own parser."""
-        passes = []
+        """A valid argv of each command builds no argparse parser and makes
+        no argparse pass; the first ``--help`` builds the parser tree once,
+        and every usage argv makes at most one pass of the command's own
+        parser."""
+        built, passes = [], []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
         for method in ("parse_args", "parse_known_args"):
             real = getattr(argparse.ArgumentParser, method)
 
@@ -867,15 +878,19 @@ class TestDispatch:
                 return real(parser, *args, **kwargs)
 
             monkeypatch.setattr(argparse.ArgumentParser, method, counting)
+        cli._parser.cache_clear()
         for name, (argv, _) in COMMANDS.items():
-            passes.clear()
             assert dispatch([name, *argv]) == 0, name
-            assert passes == []
+        assert built == passes == []
+        assert dispatch(["gen", "--help"]) == 0
+        tree = ["ultraseq", *(f"ultraseq {name}" for name in COMMANDS)]
+        assert built == tree
         for argv in usage_argvs():
             passes.clear()
             dispatch(argv)
             assert all(passes.count(f"ultraseq {name}") <= 1
                        for name in COMMANDS), (argv, passes)
+        assert built == tree
 
 
 #: the commands of the benchmark's ``grow`` workload, each over n rows
@@ -901,25 +916,13 @@ PERIODIC_COMMANDS = [
 
 
 def dispatch_calls(argv: list[str], exit_code: int = 0) -> int:
-    """The Python-level calls ``dispatch(argv)`` makes, which must exit
-    with ``exit_code``, its output kept off stdout; with the collector
-    off, which could finalize some other code's generator (a call to the
-    profiler) in the middle."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
+    """The Python-level calls ``dispatch(argv)`` makes, counted by
+    ``python_calls``; it must exit with ``exit_code``, its output kept off
+    stdout."""
+    codes = []
     with contextlib.redirect_stdout(io.StringIO()):
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            code = dispatch(argv)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-    assert code == exit_code, argv
+        calls = python_calls(lambda: codes.append(dispatch(argv)))
+    assert codes == [exit_code], argv
     return calls
 
 
@@ -927,7 +930,8 @@ class TestCommandFlatCalls:
     """Clock-free scaling pins: after one warm-up, each command makes as
     many Python-level calls over 2000 rows as over 200 (``verify --input``
     of a pi document too), ``approx`` as many at base 900 as at 100, plain
-    ``enumerate`` as many over 5670 placements as over 150, and ``verify``
+    ``enumerate`` as many over 5670 placements as over 150, canonical
+    ``enumerate`` as many besides one per candidate class, and ``verify``
     of a tau or opower unit as many over a long period as over a short
     one, so no bytecode call runs per row, placement or slot on its way to
     the text."""
@@ -1004,6 +1008,19 @@ class TestCommandFlatCalls:
         def calls(m):
             return dispatch_calls(["enumerate", "--m", str(m),
                                    "--format", fmt])
+
+        calls(2)
+        assert calls(4) == calls(2)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_canonical_enumerate_calls_grow_with_the_candidates_alone(self,
+                                                                      fmt):
+        # one comprehension call per candidate class, (m+1)·C(2m,m) of them,
+        # and two per gap pattern, m+1 of those; none per class kept
+        def calls(m):
+            return dispatch_calls(
+                ["enumerate", "--m", str(m), "--canonical", "--format",
+                 fmt]) - (m + 1) * (math.comb(2 * m, m) + 2)
 
         calls(2)
         assert calls(4) == calls(2)

@@ -191,12 +191,12 @@ def test_every_exit_is_a_refusal_or_text_that_parses(paths, command, data):
 
 
 def reads_as_the_command_parser(argv: list[str]) -> bool:
-    """Whether the direct reader of ``argv[0]`` reads ``argv[1:]`` itself;
-    when it does, its namespace is its parser's, with nothing left over."""
-    command = cli._build_parser()[1][argv[0]]
-    args = command.read(argv[1:])
+    """Whether ``cli._read`` reads ``argv[1:]`` as ``argv[0]`` itself; when
+    it does, its namespace is the command parser's, with nothing left
+    over."""
+    args = cli._read(argv[0], argv[1:])
     if args is not None:
-        want, extra = command.parser.parse_known_args(argv[1:])
+        want, extra = cli._parser()[1][argv[0]].parse_known_args(argv[1:])
         assert (vars(args), extra) == (vars(want), [])
     return args is not None
 

@@ -505,9 +505,10 @@ class TestSuccessor:
 
 
 def python_calls(fn, *args) -> int:
-    """The Python-level calls ``fn(*args)`` makes, G reads included; with
-    the collector off, which could finalize some other code's generator
-    (a call to the profiler) in the middle."""
+    """The Python-level calls ``fn(*args)`` makes, G reads included, as
+    every call-count pin counts them; with the collector off, which could
+    finalize some other code's generator (a call to the profiler) in the
+    middle."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -586,11 +587,18 @@ class TestFlatCalls:
     on reach deep into the left tail, verification and generation make as
     many Python-level calls, G reads included, over 2000 positions as over
     20; on a tau window, verification makes as many over 10,000 periods as
-    over 10."""
+    over 10; ``apply_O`` on those rows and on a tau window, and three
+    rounds of it on tau and opower windows, as many over 2000 values as
+    over 200."""
 
     @staticmethod
     def rows(n):
         return pi_window(1, n), build_family(COMPOSITE, 0, n)
+
+    @staticmethod
+    def periodic(c, n):
+        """``c``'s window: as many whole periods as fit in n values."""
+        return tau_window(c, n // len(tau_window(c).values))
 
     def test_verify_O_range(self):
         def calls(n):
@@ -609,6 +617,22 @@ class TestFlatCalls:
                                 w.lo - 4 + periods * q)
 
         assert calls(10_000) == calls(10)
+
+    def test_apply_O(self):
+        def calls(n):
+            return [python_calls(apply_O, w) for w in (
+                *self.rows(n), self.periodic(TauConfig(1, {5}, {1}), n))]
+
+        assert calls(2000) == calls(200)
+
+    def test_iterate_apply_O(self):
+        def calls(n):
+            return [python_calls(transform.iterate, apply_O, 3,
+                                 self.periodic(c, n))
+                    for c in (TauConfig(1, {5}, {1}),
+                              OPowerConfig(3, ("+", "-", "-")))]
+
+        assert calls(2000) == calls(200)
 
     def test_extend_right_by_O(self):
         # each seed ends at index 0, the generation's start
