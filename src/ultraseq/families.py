@@ -10,7 +10,7 @@ import math
 import operator
 from collections import abc, namedtuple
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from .errors import (
     DegenerateBase,
@@ -364,53 +364,68 @@ def _check_enumeration_size(m: int, canonical: bool) -> None:
                            "to override")
 
 
-def _halves(m: int, first: int) -> list[tuple]:
-    """Every half unit over the 2m+1 slots from ``first``, in unit order:
-    no two placements adjacent and at most m of each sign.  Each half is
-    (positives, negatives, starts on a placement, ends on one, P, N), with
-    P and N its slots of each sign as ``;``-joined text."""
-    halves = [(0, 0, False, False, "", "")]
-    for slot in range(first, first + 2 * m + 1):
-        opening, name = slot == first, str(slot)
-        after = ";" + name
+def _halves(m: int) -> list[tuple]:
+    """Every half unit over 2m+1 slots, in unit order: no two placements
+    adjacent and at most m of each sign.  Each half is (positives,
+    negatives, starts on a placement, ends on one, P, N, right P, right N),
+    with P and N its slots of each sign as ``;``-joined text, slot k read
+    as k on the left and as k+2m+1 on the right."""
+    halves = [(0, 0, False, False, "", "", "", "")]
+    for slot in range(1, 2 * m + 2):
+        opening, name, right = slot == 1, str(slot), str(slot + 2 * m + 1)
+        after, right_after = ";" + name, ";" + right
         grown = []
-        for pos, neg, starts, ends, p, n in halves:
+        for pos, neg, starts, ends, p, n, rp, rn in halves:
             if not ends and neg < m:
-                grown.append((pos, neg + 1, starts or opening, True,
-                              p, n + after if neg else name))
-            grown.append((pos, neg, starts, False, p, n))
+                grown.append((pos, neg + 1, starts or opening, True, p,
+                              n + after if neg else name, rp,
+                              rn + right_after if neg else right))
+            grown.append((pos, neg, starts, False, p, n, rp, rn))
             if not ends and pos < m:
                 grown.append((pos + 1, neg, starts or opening, True,
-                              p + after if pos else name, n))
+                              p + after if pos else name, n,
+                              rp + right_after if pos else right, rn))
         halves = grown
     return halves
 
 
 def _plain_descriptors(m: int) -> str:
     """Every placement, in unit order, one a line, by joining a left half
-    (slots 1..2m+1) to each right half that completes its counts and
-    places nothing next to it, at the join or across the wrap.  The right
-    halves each left half accepts are one template, "\\0P\\1N" a line, and
-    the left half fills it with two ``replace`` calls.  The left half is
-    the more significant, so taking the lefts in order and each one's
-    rights in order writes the units in order."""
-    accepting = {}  # (positives, negatives, left starts, left ends) -> lines
-    for pos, neg, starts, ends, p, n in _halves(m, 2 * m + 2):
-        piece = f"\0{p}\1{n}"
-        # a right half that ends on a placement takes only lefts that do not
-        # start on one (the wrap), and one that starts on a placement only
-        # lefts that do not end on one (the join)
-        for left_starts in (False,) if ends else (False, True):
-            for left_ends in (False,) if starts else (False, True):
-                accepting.setdefault((pos, neg, left_starts, left_ends),
-                                     []).append(piece)
-    templates = {key: "\n".join(pieces) for key, pieces in accepting.items()}
-    blocks = []
-    for pos, neg, starts, ends, p, n in _halves(m, 1):
-        template = templates.get((m - pos, m - neg, starts, ends))
+    (slots 1..2m+1) to each right half (the same halves on 2m+2..4m+2) that
+    completes its counts and places nothing next to it, at the join or
+    across the wrap.  The right halves each left half accepts are one
+    template, "\\0P\\1N" a line, and the left half fills it with two
+    ``replace`` calls.  The left half is the more significant, so taking
+    the lefts in order and each one's rights in order writes the units in
+    order."""
+    halves = _halves(m)
+    groups = {}  # (positives, negatives) -> pieces, starts free, ends free
+    for pos, neg, starts, ends, _, _, p, n in halves:
+        group = groups.get((pos, neg))
+        if group is None:
+            group = groups[pos, neg] = ([], [], [])
+        group[0].append(f"\0{p}\1{n}")
+        group[1].append(not starts)
+        group[2].append(not ends)
+    # a right half that ends on a placement takes only lefts that do not
+    # start on one (the wrap), and one that starts on a placement only lefts
+    # that do not end on one (the join)
+    templates = {}  # (positives, negatives, starts, ends) of a left -> text
+    for (pos, neg), (pieces, free_start, free_end) in groups.items():
+        pos, neg = m - pos, m - neg
+        both = map(operator.and_, free_start, free_end)
+        templates[pos, neg, False, False] = "\n".join(pieces)
+        templates[pos, neg, True, False] = "\n".join(compress(pieces,
+                                                              free_end))
+        templates[pos, neg, False, True] = "\n".join(compress(pieces,
+                                                              free_start))
+        templates[pos, neg, True, True] = "\n".join(compress(pieces, both))
+    blocks, tau = [], f"tau:m={m},P="
+    for pos, neg, starts, ends, p, n, _, _ in halves:
+        template = templates.get((pos, neg, starts, ends))
         if template:
             # a ';' only between two nonempty sides
-            head = f"tau:m={m},P={p}{';' if 0 < pos < m else ''}"
+            head = f"{tau}{p}{';' if 0 < pos < m else ''}"
             mid = f",N={n}{';' if 0 < neg < m else ''}"
             blocks.append(template.replace("\0", head).replace("\1", mid))
     return "\n".join(blocks)

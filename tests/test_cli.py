@@ -929,12 +929,12 @@ def dispatch_calls(argv: list[str], exit_code: int = 0) -> int:
 class TestCommandFlatCalls:
     """Clock-free scaling pins: after one warm-up, each command makes as
     many Python-level calls over 2000 rows as over 200 (``verify --input``
-    of a pi document too), ``approx`` as many at base 900 as at 100, plain
-    ``enumerate`` as many over 5670 placements as over 150, canonical
-    ``enumerate`` as many besides one per candidate class, and ``verify``
-    of a tau or opower unit as many over a long period as over a short
-    one, so no bytecode call runs per row, placement or slot on its way to
-    the text."""
+    and ``export --input`` of a pi document too), ``approx`` as many at
+    base 900 as at 100, plain ``enumerate`` as many over 5670 placements as
+    over 150, canonical ``enumerate`` as many besides one per candidate
+    class, and ``verify`` of a tau or opower unit as many over a long
+    period as over a short one, so no bytecode call runs per row, placement
+    or slot on its way to the text."""
 
     @pytest.mark.parametrize("command", GROW_COMMANDS)
     def test_calls_do_not_grow_with_the_rows(self, command):
@@ -988,6 +988,18 @@ class TestCommandFlatCalls:
             path.write_text(to_json(build_family("pi:m=1", 0, n)))
             return dispatch_calls(["verify", "--input", str(path),
                                    "--range", f"0..{n}", "--format", fmt])
+
+        calls(200)
+        assert calls(2000) == calls(200)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_input_calls_do_not_grow_with_the_rows(self, tmp_path,
+                                                          fmt):
+        def calls(n):
+            path = tmp_path / f"pi-{n}.json"
+            path.write_text(to_json(build_family("pi:m=1", 0, n)))
+            return dispatch_calls(["export", "--input", str(path),
+                                   "--format", fmt])
 
         calls(200)
         assert calls(2000) == calls(200)

@@ -3,6 +3,7 @@ composites, growth models, and descriptor parsing."""
 import gc
 import itertools
 import math
+import operator
 import re
 import sys
 import tracemalloc
@@ -257,7 +258,9 @@ def _brute_force_tau(m: int, canonical: bool = False) -> list[tuple[int, ...]]:
     period = 4 * m + 2
     units = []
     for q in itertools.combinations(range(1, period + 1), 2 * m):
-        if any((a - b) % period == 1 for a in q for b in q):
+        # q is sorted: two slots are cyclically adjacent when they are
+        # consecutive, or the first and the last slot of the period
+        if (q[0] == 1 and q[-1] == period) or 1 in map(operator.sub, q[1:], q):
             continue
         for p in itertools.combinations(q, m):
             units.append(tuple(period if j in p else -period if j in q else -2
@@ -284,6 +287,25 @@ def _burnside_classes(m: int) -> int:
     return fixed // period
 
 
+def _module_calls(fn, *args) -> tuple:
+    """``fn(*args)`` and the functions of ``families`` it calls, in call
+    order; comprehensions and generators left out."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == families.__file__
+                and not code.co_name.startswith("<")):
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        got = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return got, calls
+
+
 class TestTauFamily:
     def test_config_unit_and_descriptor(self):
         c = TauConfig(1, {5}, {1})
@@ -308,6 +330,16 @@ class TestTauFamily:
             for canonical in (False, True):
                 got = [c.unit() for c in tau_enumerate(m, canonical)]
                 assert got == _brute_force_tau(m, canonical)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_enumeration_text_is_the_brute_force_descriptors(self, m,
+                                                            monkeypatch):
+        monkeypatch.delenv(MAX_WINDOW_ENV, raising=False)
+        period = 4 * m + 2
+        lines = [TauConfig(m, [j for j, v in enumerate(u, 1) if v == period],
+                           [j for j, v in enumerate(u, 1) if v == -period]
+                           ).descriptor() for u in _brute_force_tau(m)]
+        assert tau_enumerate(m).text == "\n".join(lines)
 
     def test_m1_counts(self):
         assert len(tau_enumerate(1)) == 18
@@ -485,27 +517,24 @@ class TestTauFamily:
             self, m, monkeypatch):
         # each candidate class costs one min over its rotations; a search
         # would show up as repeated calls of a function of the module
-        mins, calls = [], []
+        mins = []
 
         def counted_min(rotations):
             mins.append(1)
             return min(rotations)
 
         monkeypatch.setattr(families, "min", counted_min, raising=False)
-
-        def profile(frame, event, arg):
-            code = frame.f_code
-            if (event == "call" and code.co_filename == families.__file__
-                    and not code.co_name.startswith("<")):
-                calls.append(code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            got = families._canonical_descriptors(m)
-        finally:
-            sys.setprofile(None)
+        got, calls = _module_calls(families._canonical_descriptors, m)
         assert calls == ["_canonical_descriptors"]
         assert len(got) <= len(mins) <= (m + 1) * math.comb(2 * m, m)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_plain_builds_both_sides_halves_in_one_pass(self, m):
+        # the right halves are the left ones shifted by 2m+1 slots, so one
+        # pass over the slots names both
+        got, calls = _module_calls(families._plain_descriptors, m)
+        assert calls == ["_plain_descriptors", "_halves"]
+        assert got == tau_enumerate(m).text
 
 
 class TestOmega:
