@@ -391,24 +391,25 @@ def o_successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
 
 def _successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
     """``o_successors`` at every position of a..b, by one loop over the
-    summand ranges [t - c, t), c = |u|.  One that ends in the span, i = t -
-    lo values past lo, reads its tail values from the head; on a constant
-    tail a positive head stored in the span (i >= 1) reads the sum before
-    it, c * (P + T + 1) + prefix[i - 1] - i * T, one big-int operation on a
-    -2 tail.  One wholly in a tail, its head a value of that tail's unit,
-    reads the unit's prefix sums as G does: with P the period, T the total,
-    F(x) the tail's sum over offsets [0, x) from its end at the span and Q,
-    R = divmod(c, P), the sum over offsets [x - c, x) is Q * T + F(x) -
-    F(x - R).  Any other range crosses the span's right end and is G(t) -
-    G(t - c)."""
+    summand ranges [t - c, t), c = |u|, with P, ``pre`` and T a tail's
+    period, unit prefix sums and total.  One that ends in the span, i = t -
+    lo values past lo, and starts in the left tail is read from the head:
+    with Q, R = divmod(c, P) and q, r = divmod(i - R, P), it is Q * (P + T)
+    + prefix[i] + (R - q * T - pre[r]); on pi's -2 tail a head stored in
+    the span reads the sum before it, prefix[i - 1] - i * T, one big-int
+    operation.  One wholly in a tail, x its end's offset from the span, is
+    Q * T + F(x) - F(x - R) + c, F(x) the tail's sum over offsets [0, x) as
+    G reads it.  Any other range crosses the span's right end: G(t) - G(t -
+    c) + c."""
     lo, n, prefix, left, right = w.lo, len(w.values), w._prefix, w.left, w.right
     G = _signed_prefix(lo, prefix, left, right)
-    if left is not None:  # the period, the unit's prefix sums and total
-        P, pre, T = left.period, left._prefix, left._prefix[-1]
+    # each side's period, the unit's prefix sums and total
+    sides = [rule and (rule.period, rule._prefix, rule._prefix[-1])
+             for rule in (left, right)]
+    if left is not None:
+        P, pre, T = sides[0]
         PT = P + T
-        K = PT + 1  # a constant tail's head coefficient, P + T + 1
-    if right is not None:
-        RP, rpre, RT = right.period, right._prefix, right._prefix[-1]
+        flat = P == 1 and PT == -1  # pi's -2 tail: a head's coefficient 0
     out: list[int | None] = []
     append = out.append
     for p, u in zip(range(a, b + 1), _column(w, a, b)):
@@ -425,39 +426,27 @@ def _successors(w: SeqWindow, a: int, b: int) -> list[int | None]:
                 append(prefix[i] - prefix[i - c] + c)
             elif left is None:
                 append(None)
-            elif P > 1:
+            elif flat and p >= lo:  # a head in the span: the sum before it
+                append(prefix[i - 1] - i * T)
+            else:
                 Q, R = divmod(c, P)  # c - i = (Q - q) * P - r
                 q, r = divmod(i - R, P)
                 append(Q * PT + prefix[i] + (R - q * T - pre[r]))
-            elif u < 0 or not i:  # a head in the left tail, or at lo - 1
-                append(c * PT + prefix[i] - i * T)
-            elif K:  # a head in the span: the sum before it, prefix[i - 1]
-                append(u * K + prefix[i - 1] - i * T)
-            else:
-                append(prefix[i - 1] - i * T)
             continue
-        if i < 0:  # wholly in the left tail, offsets from lo
-            if left is None:
-                append(None)
-                continue
-            Q, R = divmod(c, P)
-            r = i % P
-            append(Q * PT + R + pre[r] - (pre[r - R] if r >= R
-                                          else pre[r - R + P] - T))
-            continue
-        i -= n  # offsets from hi + 1
-        if right is None:
+        side, x = (sides[0], i) if i < 0 else (sides[1], i - n)
+        if side is None:
             append(None)
-        elif c <= i:  # wholly in the right tail
-            Q, R = divmod(c, RP)
-            r = i % RP
-            append(Q * (RP + RT) + R + rpre[r] - (rpre[r - R] if r >= R
-                                                  else rpre[r - R + RP] - RT))
-        else:
+        elif c > x > 0:  # crosses the span's right end
             try:
                 append(G(t) - G(t - c) + c)
             except OutOfDomain:
                 append(None)
+        else:  # wholly in a tail
+            SP, spre, ST = side
+            Q, R = divmod(c, SP)
+            r = x % SP
+            append(Q * (SP + ST) + R + spre[r] - (
+                spre[r - R] if r >= R else spre[r - R + SP] - ST))
     return out
 
 
@@ -620,9 +609,10 @@ def extend_right_by_O(w: SeqWindow, steps: int,
 
     A head h > 0 sums [pos - h, pos) as ``o_successors`` sums a range that
     ends in the span; 0 and -1 give 0.  Heads that reach the left tail
-    (h > i, with i values stored before pos) are generated by runs, one
-    loop per tail kind, until a head falls inside the span, a value is
-    supplied or the steps end; every other step goes through one general
+    (h > i, with i values stored before pos) are generated by runs until a
+    head falls inside the span, a value is supplied or the steps end: one
+    loop on pi's -2 tail, from the sum before the head, and one on any
+    other tail, from the head.  Every other step goes through one general
     step.  The new window keeps the prefix sums in its ``_sums`` cache.
     """
     if steps < 1:
@@ -634,7 +624,7 @@ def extend_right_by_O(w: SeqWindow, steps: int,
     if left is not None:  # the period, the unit's prefix sums and total
         P, pre, T = left.period, left._prefix, left._prefix[-1]
         PT = P + T
-        K = PT + 1  # a constant tail's head coefficient, P + T + 1
+        flat = P == 1 and PT == -1  # pi's -2 tail: a head's coefficient 0
     vals, prefix = list(w.values), list(accumulate(w.values, initial=0))
     head, total = vals[-1], prefix[-1]
     i, end = len(vals), len(vals) + steps  # i: the index of the next value
@@ -648,25 +638,18 @@ def extend_right_by_O(w: SeqWindow, steps: int,
         if i < stop and head > i and left is not None:
             # a run of heads that reach the left tail, their sums read from
             # the head as ``_successors`` reads them
-            if P > 1:
+            if flat:  # from the sum before the head, prefix[i - 1]
+                while i < stop and head > i:
+                    head = prefix[i - 1] - i * T
+                    total += head
+                    append(head)
+                    append_sum(total)
+                    i += 1
+            else:
                 while i < stop and head > i:
                     Q, R = divmod(head, P)
                     q, r = divmod(i - R, P)
                     head = Q * PT + total + (R - q * T - pre[r])
-                    total += head
-                    append(head)
-                    append_sum(total)
-                    i += 1
-            elif K:  # from the sum before the head, prefix[i - 1]
-                while i < stop and head > i:
-                    head = head * K + prefix[i - 1] - i * T
-                    total += head
-                    append(head)
-                    append_sum(total)
-                    i += 1
-            else:  # T = -2, as on pi rows: the head's coefficient is 0
-                while i < stop and head > i:
-                    head = prefix[i - 1] - i * T
                     total += head
                     append(head)
                     append_sum(total)

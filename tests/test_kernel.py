@@ -644,6 +644,45 @@ class TestFlatCalls:
         assert calls(2000) == calls(20)
 
 
+def divisions(monkeypatch, fn, *args) -> int:
+    """The ``divmod`` calls ``seqcore`` makes in ``fn(*args)``, counted by
+    a ``divmod`` in the module's globals, which name lookup finds before
+    the builtin."""
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return divmod(a, b)
+
+    monkeypatch.setattr(seqcore, "divmod", counting, raising=False)
+    fn(*args)
+    monkeypatch.delattr(seqcore, "divmod")
+    return calls
+
+
+class TestDivisions:
+    """Clock-free pins of the two head forms: over 2000 positions of a pi
+    row, whose heads read the sum before them on the -2 tail, verification
+    and generation make no ``divmod`` call; on the composite row, whose
+    sums read a tau tail from the head, at most two per position (3998
+    and 3996, measured)."""
+
+    def test_verify_O_range(self, monkeypatch):
+        pi, composite = TestFlatCalls.rows(2000)
+        assert divisions(monkeypatch, verify_O_range, pi, pi.lo, pi.hi) == 0
+        n = composite.hi - composite.lo + 1
+        assert divisions(monkeypatch, verify_O_range, composite,
+                         composite.lo, composite.hi) <= 2 * n
+
+    def test_extend_right_by_O(self, monkeypatch):
+        pi, composite = (SeqWindow(w.lo, w.values[:1 - w.lo], left=w.left)
+                         for w in TestFlatCalls.rows(2))
+        assert divisions(monkeypatch, extend_right_by_O, pi, 2000) == 0
+        assert divisions(monkeypatch, extend_right_by_O, composite,
+                         2000) <= 2 * 2000
+
+
 class TestPeriodicEverywhere:
     """On a window periodic everywhere, a range longer than the period is
     computed over one period and repeated, and what is read off it equals a
@@ -1046,11 +1085,19 @@ class TestOneTailReader:
 
 class TestHeadForm:
     """Sums that start in the left tail and end in the span, read from the
-    head (one divmod by the period, none on a constant tail), against an
-    oracle that sums the tail one period at a time."""
+    head (two divmods by the period, none for a head stored in the span on
+    pi's -2 tail), against an oracle that sums the tail one period at a
+    time.  The examples sit at the one branch point: a period-2 unit with
+    P + T = -1 takes the periodic form, and so do constant -1 and -3
+    tails, with heads at lo - 1, in the tail and in the span, and the -2
+    tail's heads at lo - 1 and in the tail."""
 
     @settings(deadline=None)
     @given(head_windows, st.integers(0, 12), st.integers(0, 12))
+    @example(SeqWindow(0, (5, 1, 9), left=Periodic((-1, -2))), 4, 0)
+    @example(SeqWindow(0, (4, 2, 9), left=constant(-1)), 2, 0)
+    @example(SeqWindow(0, (4, 2, 9), left=constant(-3)), 4, 0)
+    @example(SeqWindow(0, (4, 2, 9), left=constant(-2)), 3, 0)
     def test_o_successors(self, w, before, after):
         a, b = w.lo - before, w.hi + after
         assert o_successors(w, a, b) == naive_column(
@@ -1059,6 +1106,9 @@ class TestHeadForm:
     @settings(deadline=None)
     @given(head_windows.map(lambda w: SeqWindow(w.lo, w.values[:-1] + (
         abs(w.values[-1]),), left=w.left)), st.integers(1, 6))
+    @example(SeqWindow(0, (5, 1, 9), left=Periodic((-1, -2))), 4)
+    @example(SeqWindow(0, (4, 2, 9), left=constant(-1)), 4)
+    @example(SeqWindow(0, (4, 2, 9), left=constant(-3)), 4)
     def test_extend_right_by_O(self, w, steps):
         # an undefined left side raises OutOfDomain where the sum starts
         def generated(w, steps):
@@ -1097,6 +1147,8 @@ class TestTailForm:
                      st.lists(st.integers(-8, 8), min_size=1, max_size=10),
                      left=tail_rules, right=tail_rules),
            st.integers(0, 40), st.integers(0, 40))
+    # at hi + 3, the head 2 sums offsets 1 and 2: r = 0 < R = 2 wraps
+    @example(SeqWindow(0, (0,), right=Periodic((1, 3, 2))), 0, 4)
     def test_o_successors(self, w, before, after):
         a, b = w.lo - before, w.hi + after
         assert o_successors(w, a, b) == naive_column(
@@ -1160,11 +1212,13 @@ run_seeds = st.builds(SeqWindow, st.integers(-5, 5),
 
 
 class TestRuns:
-    """Heads that reach the left tail are generated by runs, one loop per
-    tail kind; a run ends where a head falls inside the span, to 0 or -1,
-    or to -2 or below, and where a value is supplied.  Each seed below
-    ends a run in one of those ways; the property draws constant and
-    periodic units with values up to 2 ** 70."""
+    """Heads that reach the left tail are generated by runs, one loop on
+    pi's -2 tail and one on any other tail, a period-2 unit with P + T =
+    -1 and constant -1 and -3 tails included; a run ends where a head
+    falls inside the span, to 0 or -1, or to -2 or below, and where a
+    value is supplied.  Each seed below ends a run in one of those ways;
+    the property draws constant and periodic units with values up to
+    2 ** 70."""
 
     @settings(deadline=None)
     @given(run_seeds, st.integers(1, 10),
@@ -1183,6 +1237,9 @@ class TestRuns:
     # a run through 9 falls below -2, and its successor is supplied
     @example(SeqWindow(0, (2,), left=Periodic((-2 ** 70, 5))), 3, {3: 4})
     @example(SeqWindow(0, (3,)), 2, {})  # an undefined left side
+    @example(SeqWindow(0, (5,), left=Periodic((-1, -2))), 6, {})  # P + T = -1
+    @example(SeqWindow(0, (4,), left=constant(-1)), 6, {})
+    @example(SeqWindow(0, (2 ** 70,), left=constant(-3)), 4, {})
     def test_matches_the_oracles(self, w, steps, offsets):
         supplied = {w.hi + k: v for k, v in offsets.items()}
 
