@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the kernel's mutant catalogue against the tests that must kill it.
+"""Run the mutant catalogue of the kernel and of the integer text writer
+against the tests that must kill it.
 
     python3 scripts/mutants.py
 
@@ -36,6 +37,8 @@ Mutant = namedtuple("Mutant", "id file old new tests")
 
 SEQCORE = "ultraseq/seqcore.py"
 KERNEL = "tests/test_kernel.py::"
+TEXT = "tests/test_text_layer.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     # _successors: the one branch point left among the head forms
@@ -88,6 +91,28 @@ MUTANTS = (
            "a = w.lo + (a - w.lo) % q", "a = w.lo + a % q",
            (KERNEL + "TestSuccessor::"
             "test_range_on_rows_and_periodic_windows",)),
+    # int_rows: the one writer of integer text
+    Mutant("int-rows-columns-in-reversed-slots", SEQCORE,
+           "cells[k::width] = column", "cells[width - 1 - k::width] = column",
+           (TEXT + "test_int_rows_is_each_old_writer",)),
+    Mutant("int-rows-columns-not-truncated", SEQCORE,
+           "column if len(column) == n else column[:n]", "column",
+           (TEXT + "test_int_rows_is_the_zipped_writer",)),
+    Mutant("int-rows-head-percent-undoubled", SEQCORE,
+           'head.replace("%", "%%")', "head",
+           (TEXT + "test_int_rows_is_the_zipped_writer",)),
+    Mutant("int-rows-tail-percent-undoubled", SEQCORE,
+           'tail.replace("%", "%%")', "tail",
+           (TEXT + "test_int_rows_is_the_zipped_writer",)),
+    Mutant("int-rows-call-per-row", SEQCORE,
+           "= column if len(column) == n",
+           "= list(map(lambda c: c, column)) if len(column) == n",
+           (CLI + "TestCommandFlatCalls::"
+            "test_calls_do_not_grow_with_the_rows",)),
+    Mutant("int-rows-no-rows-without-a-shortcut", SEQCORE,
+           "if not n:\n        return head + tail",
+           "if False:\n        return head + tail",
+           (TEXT + "test_no_rows_are_head_and_tail_in_one_call",)),
 )
 
 

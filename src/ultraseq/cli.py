@@ -7,7 +7,6 @@ import argparse
 import functools
 import sys
 from collections.abc import Sequence
-from itertools import islice
 
 from . import reference, seqcore
 from .errors import brief
@@ -182,7 +181,7 @@ def _cmd_reference(args) -> tuple[str, int]:
     seqcore.check_window_len(n, "table")
     table = (reference.hofstadter_q_table if args.sequence == "q"
              else reference.conway_table)(n)
-    columns = (range(1, n + 1), islice(table, 1, None))
+    columns = (range(1, n + 1), table[1:])
     if args.format == "table":
         return seqcore.int_rows(columns, "%d  %d\n"), 0
     return seqcore.records(args.format, columns, seqcore.INDEX_VALUE), 0

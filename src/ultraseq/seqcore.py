@@ -802,16 +802,33 @@ def int_rows(columns: Sequence[Iterable], row: str | Iterator[str],
              head: str = "", sep: str = "", tail: str = "") -> str:
     """``head``, then the ``%`` template ``row`` for each row of the zipped
     ``columns``, ``sep`` between each two, then ``tail``: the one writer of
-    integer text, by one ``%`` over every cell.  ``row`` may instead be an
-    iterator of one template per row.  The largest integer cell of the end
-    rows goes first, to refuse it at once."""
+    integer text.  ``row`` may instead be an iterator of one template per
+    row.  The cells go into one list, a column at a time by extended slice,
+    and one ``%`` over them, with ``head`` and ``tail`` in its template,
+    writes the output string; no rows write ``head`` and ``tail`` alone.
+    The largest integer cell of the end rows goes first, to refuse it at
+    once."""
+    try:
+        n = min(map(len, columns))
+    except TypeError:  # an iterator column
+        columns = tuple(map(tuple, columns))
+        n = min(map(len, columns))
+    if not n:
+        return head + tail
     width = len(columns)
-    cells = tuple(chain.from_iterable(zip(*columns)))
+    if width == 1:  # a tuple column is its own cells
+        cells = tuple(columns[0])
+    else:
+        cells = [None] * (n * width)
+        for k, column in enumerate(columns):
+            cells[k::width] = column if len(column) == n else column[:n]
+        cells = tuple(cells)
     "%d" % max([c for c in cells[:width] + cells[-width:]
                 if hasattr(c, "__index__")], key=abs, default=0)
-    if not isinstance(row, Iterator):
-        row = [row] * (len(cells) // width)
-    return "".join((head, sep.join(row) % cells, tail))
+    if not hasattr(row, "__next__"):  # one template for every row
+        row = [row] * n
+    return "".join((head.replace("%", "%%"), sep.join(row),
+                    tail.replace("%", "%%"))) % cells
 
 
 def records(fmt: str, columns: Sequence[Iterable], cells: dict,

@@ -524,6 +524,24 @@ class TestExport:
                            "--format", "csv")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_large_export_holds_one_copy_of_its_text(self, fmt):
+        """The traced peak, after one warm-up: the row, its prefix sums and
+        the text come to about 2.1 times the text, and a second copy of the
+        text would take it to about 3."""
+        argv = ["export", "--family", "pi:m=1", "--range", "0..6000",
+                "--format", fmt]
+        for _ in range(2):
+            out = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    assert dispatch(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.5 * len(out.getvalue())
+
 
 class TestFamilyDescriptors:
     @pytest.mark.parametrize("descriptor,keys", [
@@ -905,6 +923,18 @@ GROW_COMMANDS = [
     "reference --sequence q --count {n} --format csv",
 ]
 
+#: the other formats of those commands, each over n rows
+FORMAT_COMMANDS = [
+    "gen --family pi:m=1 --range 0..{n} --format table",
+    "diff --family pi:m=1 --range 0..{n} --format json",
+    "diff --family pi:m=1 --range 0..{n} --format table",
+    "closed-form --family pi:m=1 --range 0..{n} --format json",
+    "closed-form --family pi:m=1 --range 0..{n} --format table",
+    "reference --sequence q --count {n} --format json",
+    "reference --sequence q --count {n} --format table",
+    "export --family pi:m=1 --range 0..{n} --format csv",
+]
+
 
 #: the tau rows and an opower ``verify``, which lists its violations,
 #: each over n rows, with their exit codes
@@ -936,7 +966,7 @@ class TestCommandFlatCalls:
     period as over a short one, so no bytecode call runs per row, placement
     or slot on its way to the text."""
 
-    @pytest.mark.parametrize("command", GROW_COMMANDS)
+    @pytest.mark.parametrize("command", GROW_COMMANDS + FORMAT_COMMANDS)
     def test_calls_do_not_grow_with_the_rows(self, command):
         def calls(n):
             return dispatch_calls(command.format(n=n).split())

@@ -10,12 +10,15 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain, islice
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from test_cli_golden import GOLDEN, docs  # noqa: F401  (docs is a fixture)
+from test_kernel import python_calls
 from ultraseq import cli, reference, seqcore
 from ultraseq.cli import dispatch
 from ultraseq.errors import OutOfDomain, TooLarge, WindowTooSmall
@@ -50,6 +53,20 @@ def joined_rows(header, rows, sep: str) -> str:
     unless it is empty: the table layout ``int_rows`` replaced."""
     lines = [header, *rows] if header else rows
     return "".join(sep.join(map(str, line)) + "\n" for line in lines)
+
+
+def zipped_int_rows(columns, row, head="", sep="", tail="") -> str:
+    """The integer writer ``int_rows`` replaced: a ``zip`` tuple per row
+    flattened into the cells, its largest end-row integer written first,
+    one ``%`` for the rows, then ``head`` and ``tail`` joined to them in a
+    second copy of the whole text."""
+    width = len(columns)
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    "%d" % max([c for c in cells[:width] + cells[-width:]
+                if hasattr(c, "__index__")], key=abs, default=0)
+    if not isinstance(row, Iterator):
+        row = [row] * (len(cells) // width)
+    return "".join((head, sep.join(row) % cells, tail))
 
 
 def naive_document(w: SeqWindow) -> dict:
@@ -152,6 +169,96 @@ def test_int_rows_is_each_old_writer(table, named):
         head = sep.join(header) + "\n" if header else ""
         assert int_rows(columns, sep.join(["%d"] * width) + "\n",
                         head) == old
+
+
+#: an integer past the 4300-digit limit for integer text
+PAST_THE_LIMIT = 10 ** 4300
+
+
+@st.composite
+def int_rows_calls(draw):
+    """A maker of the arguments of one ``int_rows`` call, fresh each time,
+    since an ``islice`` column and an iterator of templates are used up.
+    One to four columns of 0 to 40 rows each, unequal lengths truncated to
+    the shortest as ``zip`` does: ints of either sign up to 1000 digits, in
+    a ``range``, tuple, list or ``islice``, or None cells written by
+    ``%.0s``.  One integer past the digit limit may sit in the first, a
+    middle or the last row.  The row template is one string, or an
+    iterator of one template per row; ``head`` and ``tail`` may hold
+    ``%``."""
+    width = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(0, 40), min_size=width,
+                            max_size=width))
+    n = min(lengths)
+    kinds = draw(st.lists(st.sampled_from(["range", tuple, list, islice,
+                                           None]),
+                          min_size=width, max_size=width))
+    values = []
+    for kind, length in zip(kinds, lengths):
+        if kind == "range":
+            start = draw(st.integers(-10 ** 6, 10 ** 6))
+            values.append(range(start, start + length))
+        elif kind is None:
+            values.append([None] * length)
+        else:
+            values.append(draw(st.lists(
+                st.integers(-10 ** 1000, 10 ** 1000), min_size=length,
+                max_size=length)))
+    at = draw(st.one_of(st.none(), st.sampled_from([0, n // 2, n - 1])))
+    if at is not None and n:
+        j = draw(st.integers(0, width - 1))
+        if kinds[j] in ("range", None):
+            kinds[j], values[j] = list, [0] * lengths[j]
+        values[j][at] = draw(st.sampled_from([1, -1])) * PAST_THE_LIMIT
+
+    def template():
+        return draw(st.sampled_from([",", "  "])).join(
+            "%.0s" if kind is None else draw(st.sampled_from(["%d", '"%d"']))
+            for kind in kinds) + draw(st.sampled_from(["\n", ""]))
+
+    rows = (template() if draw(st.booleans())
+            else [template() for _ in range(n)])
+    text = st.text("a%,\n", max_size=6)
+    head, sep, tail = (draw(text), draw(st.sampled_from(["", ",\n  "])),
+                       draw(text))
+
+    def call():
+        columns = [islice(col, None) if kind is islice
+                   else col if kind in ("range", None) else kind(col)
+                   for kind, col in zip(kinds, values)]
+        return (columns, rows if isinstance(rows, str) else iter(rows),
+                head, sep, tail)
+
+    return call
+
+
+def result(writer, args):
+    """What ``writer(*args)`` returns, or the type of what it raises."""
+    try:
+        return writer(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(int_rows_calls())
+@example(lambda: ([[1, PAST_THE_LIMIT, 3]], "%d\n", "a%\n"))
+@example(lambda: ([range(3), [None, 7]], iter(["%d,%.0s\n", "%d,%d\n"]),
+                  "index%,value\n", "", "%"))
+def test_int_rows_is_the_zipped_writer(call):
+    """The zipped writer's text in one copy, or the same refusal."""
+    assert result(int_rows, call()) == result(zipped_int_rows, call())
+
+
+def test_no_rows_are_head_and_tail_in_one_call():
+    """A table of no rows, ``verify``'s clean summary, makes no call past
+    ``int_rows`` itself: fewer than the zipped writer, which made its
+    end-row list and read its template's ABC."""
+    args = (((),) * 3, cli._VIOLATION, "3 ok, 0 violations\n")
+    for writer in (int_rows, zipped_int_rows):
+        writer(((1,),) * 3, *args[1:])  # warm-up
+    assert int_rows(*args) == zipped_int_rows(*args) == args[2]
+    assert python_calls(int_rows, *args) == 1 < python_calls(
+        zipped_int_rows, *args)
 
 
 #: every output of a command, none of them a usage or input error
